@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test bench examples quicktest lint staticcheck \
 	staticcheck-interproc fuzz fuzz-smoke perfbench perfbench-pr8 \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
-	sweep sweep-smoke clean
+	sweep sweep-smoke layerbench-test layerbench-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -130,6 +130,16 @@ sweep:
 sweep-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.sweep specs/smoke-grid.toml \
 		--out sweep-smoke.json --markdown sweep-smoke.md
+
+# The repository benchmark (layerbench/README.md, BENCHMARK.json):
+# `layerbench-test` runs its own unit tests, `layerbench-smoke` runs all
+# three workloads for 0.5 s each with the correctness gate on, and fails
+# on any wrong result or failed operation.
+layerbench-test:
+	$(PYTHON) -m pytest -q layerbench/test_layerbench.py
+
+layerbench-smoke:
+	$(PYTHON) layerbench/run.py --workload all --seconds 0.5 --trace 0
 
 examples:
 	@for script in examples/*.py; do \

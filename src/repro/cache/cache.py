@@ -4,12 +4,16 @@ Stores :class:`~repro.cache.line.CacheLine` objects; no coherence state
 (see :mod:`repro.cache.coherence`) and no timing (the hierarchy charges
 latency). Evictions are returned to the caller, which decides where the
 victim goes (next level, home, or nowhere).
+
+Each set is one ``OrderedDict`` (line address -> line) kept in LRU
+order, least recent first: a hit is a ``get`` plus ``move_to_end``, a
+full-set insert evicts with ``popitem(last=False)``. The replay engine's
+fast loop drives the same dicts directly.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.cache.line import CacheLine
-from repro.cache.replacement import make_policy
 from repro.errors import ConfigError
 from repro.util.constants import CACHE_LINE_SIZE, is_power_of_two
 from repro.util.stats import StatGroup
@@ -20,11 +24,10 @@ _LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 
 @dataclass
 class CacheConfig:
-    """Geometry of one cache level."""
+    """Geometry of one cache level (replacement is always LRU)."""
 
     size_bytes: int
     ways: int
-    policy: str = "lru"
 
     @property
     def num_sets(self):
@@ -43,7 +46,7 @@ class CacheConfig:
 
 
 class SetAssociativeCache:
-    """A data array of ``num_sets`` sets, each holding up to ``ways`` lines."""
+    """``num_sets`` LRU sets, each holding up to ``ways`` lines."""
 
     def __init__(self, name, config):
         config.validate(name)
@@ -51,8 +54,7 @@ class SetAssociativeCache:
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self._sets = [dict() for _ in range(self.num_sets)]
-        self._policies = [make_policy(config.policy) for _ in range(self.num_sets)]
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self._set_mask = self.num_sets - 1
         self.stats = StatGroup(name)
         # Per-access counters bound once (hot-path-stat-lookup rule).
@@ -61,15 +63,12 @@ class SetAssociativeCache:
         self._c_evictions = self.stats.counter("evictions")
         self._c_invalidations = self.stats.counter("invalidations")
 
-    def _index(self, line_addr):
-        return (line_addr >> _LINE_SHIFT) & self._set_mask
-
     def lookup(self, line_addr):
         """Return the resident line (refreshing recency) or None."""
-        index = (line_addr >> _LINE_SHIFT) & self._set_mask
-        line = self._sets[index].get(line_addr)
+        bucket = self._sets[(line_addr >> _LINE_SHIFT) & self._set_mask]
+        line = bucket.get(line_addr)
         if line is not None:
-            self._policies[index].on_access(line_addr)
+            bucket.move_to_end(line_addr)
             self._c_hits.value += 1
         else:
             self._c_misses.value += 1
@@ -81,45 +80,41 @@ class SetAssociativeCache:
             .get(line_addr)
 
     def insert(self, line):
-        """Insert ``line``; return the evicted victim line or None.
+        """Insert ``line`` as most recent; return the evicted victim or None.
 
         If the line address is already resident, its entry is replaced in
         place (data merged by the caller beforehand) and nothing is
         evicted.
         """
-        index = (line.addr >> _LINE_SHIFT) & self._set_mask
-        bucket = self._sets[index]
-        policy = self._policies[index]
+        addr = line.addr
+        bucket = self._sets[(addr >> _LINE_SHIFT) & self._set_mask]
         victim = None
-        if line.addr in bucket:
-            policy.on_access(line.addr)
-        else:
-            if len(bucket) >= self.ways:
-                victim_addr = policy.victim()
-                victim = bucket.pop(victim_addr)
-                policy.on_remove(victim_addr)
-                self._c_evictions.add(1)
-            policy.on_insert(line.addr)
-        bucket[line.addr] = line
+        if addr in bucket:
+            bucket.move_to_end(addr)
+        elif len(bucket) >= self.ways:
+            victim = bucket.popitem(last=False)[1]
+            self._c_evictions.value += 1
+        bucket[addr] = line
         return victim
 
     def remove(self, line_addr):
         """Remove and return the line (None if absent)."""
-        index = (line_addr >> _LINE_SHIFT) & self._set_mask
-        line = self._sets[index].pop(line_addr, None)
+        line = self._sets[(line_addr >> _LINE_SHIFT) & self._set_mask] \
+            .pop(line_addr, None)
         if line is not None:
-            self._policies[index].on_remove(line_addr)
-            self._c_invalidations.add(1)
+            self._c_invalidations.value += 1
         return line
 
     def clear(self):
         """Drop every line (crash / reset)."""
-        for index in range(self.num_sets):
-            self._sets[index].clear()
-            self._policies[index] = make_policy(self.config.policy)
+        for bucket in self._sets:
+            bucket.clear()
 
     def lines(self):
-        """Iterate over all resident lines (no recency effect)."""
+        """Iterate over all resident lines (no recency effect).
+
+        Sets come in index order, and each set's lines least recent first.
+        """
         for bucket in self._sets:
             yield from bucket.values()
 
@@ -132,8 +127,3 @@ class SetAssociativeCache:
     def __repr__(self):
         return "SetAssociativeCache(%s, %d/%d lines)" % (
             self.name, len(self), self.num_sets * self.ways)
-
-
-def make_line(line_addr, data, dirty=False):
-    """Convenience constructor matching :class:`CacheLine`."""
-    return CacheLine(line_addr, data, dirty)

@@ -60,20 +60,23 @@ class Directory:
         if state == MesiState.INVALID:
             self.drop(line_addr, core)
             return
-        entry = self._entries.setdefault(line_addr, DirectoryEntry())
+        entry = self._entries.get(line_addr)
+        if entry is None:
+            entry = self._entries[line_addr] = DirectoryEntry()
+        states = entry.states
         if state in MesiState.WRITABLE:
-            others = [c for c in entry.states if c != core]
-            if others:
+            # Any holder besides ``core`` blocks an M/E grant.
+            if len(states) > (core in states):
                 raise ProtocolError(
                     "grant of %s on 0x%x while cores %r still hold it"
-                    % (state, line_addr, others))
-        else:
+                    % (state, line_addr, [c for c in states if c != core]))
+        elif states:
             owner = entry.owner
             if owner is not None and owner != core:
                 raise ProtocolError(
                     "grant of S on 0x%x while core %d holds %s"
-                    % (line_addr, owner, entry.states[owner]))
-        entry.states[core] = state
+                    % (line_addr, owner, states[owner]))
+        states[core] = state
 
     def drop(self, line_addr, core):
         """Remove ``core`` from the sharer set (private-cache eviction)."""

@@ -212,7 +212,7 @@ class CacheHierarchy:
             else entry.states.get(core_id, _INVALID)
         if state != _INVALID:
             return self._hit_path(core, line_addr, state, exclusive)
-        return self._miss_path(core, line_addr, exclusive)
+        return self._miss_path(core, line_addr, exclusive, entry)
 
     def _hit_path(self, core, line_addr, state, exclusive):
         """The line is already in this core's private caches."""
@@ -243,18 +243,22 @@ class CacheHierarchy:
         self._advance(latency)
         return line
 
-    def _miss_path(self, core, line_addr, exclusive):
-        """The line is not in this core; find it elsewhere or at home."""
+    def _miss_path(self, core, line_addr, exclusive, entry):
+        """The line is not in this core; find it elsewhere or at home.
+
+        ``entry`` is the line's directory entry as probed by the caller
+        (None when no core holds it). This core is not among its holders,
+        and an entry is deleted once empty, so a non-None entry means at
+        least one other core holds the line.
+        """
         latency = 0.0
         mech = self._mech
         if exclusive and mech is not None:
             # The line is about to be modified: whatever clean copy a
             # side buffer holds goes stale the instant the store lands.
             mech.invalidate(line_addr)
-        owner = self._dir.owner(line_addr)
-        sharers = [c for c in self._dir.sharers(line_addr)
-                   if c != core.core_id]
-        if owner is not None and owner != core.core_id:
+        owner = None if entry is None else entry.owner
+        if owner is not None:
             data, dirty, extra = self._pull_from_core(
                 owner, line_addr, invalidate=exclusive)
             latency += extra
@@ -264,16 +268,17 @@ class CacheHierarchy:
                 # Any LLC copy is older than the stolen M data.
                 self._llc.remove(line_addr)
             self._c_cross_core.add(1)
-        elif sharers:
+        elif entry is not None:
             # Cache-to-cache forward from a clean sharer: cheaper than a
             # home fetch, and for device-homed lines it spares a device
             # round trip. A store still tells the home (upgrade message),
             # because the PAX device must log the first modification.
-            source = self._cores[sharers[0]].l2.peek(line_addr)
+            sharer = next(iter(entry.states))
+            source = self._cores[sharer].l2.peek(line_addr)
             if source is None:
                 raise ProtocolError(
                     "directory sharer %d lost line 0x%x"
-                    % (sharers[0], line_addr))
+                    % (sharer, line_addr))
             data = source.snapshot()
             latency += self._cross_core_ns
             self._c_sharer_forwards.add(1)
@@ -290,8 +295,6 @@ class CacheHierarchy:
                 new_state = MesiState.SHARED
             line = CacheLine(line_addr, data, dirty=False)
         else:
-            if exclusive:
-                latency += self._invalidate_sharers(core.core_id, line_addr)
             llc_line = self._llc.lookup(line_addr)
             home = self.home_for(line_addr)
             if llc_line is not None:
@@ -332,8 +335,9 @@ class CacheHierarchy:
                     line = CacheLine(line_addr, data, dirty=False)
                     if exclusive:
                         new_state = MesiState.MODIFIED
-                    elif home.grants_exclusive \
-                            and not self._dir.sharers(line_addr):
+                    elif home.grants_exclusive:
+                        # No core holds the line (entry is None), so a
+                        # load may take it E.
                         new_state = MesiState.EXCLUSIVE
                     else:
                         new_state = MesiState.SHARED
@@ -364,10 +368,11 @@ class CacheHierarchy:
 
     def _invalidate_sharers(self, requester, line_addr):
         """Drop every other core's (necessarily clean, S-state) copy."""
+        entry = self._dir_entries.get(line_addr)
+        if entry is None:
+            return 0.0
         latency = 0.0
-        for sharer in list(self._dir.sharers(line_addr)):
-            if sharer == requester:
-                continue
+        for sharer in [c for c in entry.states if c != requester]:
             other = self._cores[sharer]
             other.l1.remove(line_addr)
             other.l2.remove(line_addr)
@@ -426,7 +431,9 @@ class CacheHierarchy:
         self._dir.drop(victim.addr, core.core_id)
         self._c_l2_evictions.add(1)
         if victim.dirty:
-            return self._insert_llc(CacheLine(victim.addr, victim.data, dirty=True))
+            # The victim object has left the core (L1 dropped it above),
+            # so the LLC can take it as is.
+            return self._insert_llc(victim)
         if self._mech is not None:
             # Clean L2 victims bypass the non-inclusive LLC entirely, so
             # this is where they leave the hierarchy — the victim-buffer

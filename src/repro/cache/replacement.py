@@ -1,9 +1,12 @@
-"""Replacement policies for set-associative caches.
+"""Replacement policies for the miss-path mechanism buffers.
 
-Each cache *set* owns one policy instance. The policy sees accesses,
+Each victim or miss cache in :mod:`repro.cache.mechanisms` owns one
+policy instance, chosen by ``mech_policy``. The policy sees accesses,
 insertions, and removals by line address and nominates a victim when the
-set is full. LRU is the default everywhere; FIFO and Random exist for the
-ablation benchmarks and as sanity baselines.
+buffer is full. LRU is the default; FIFO and Random exist for the
+ablation sweeps and as sanity baselines. The L1/L2/LLC arrays do not use
+these classes: their sets are always LRU and keep recency in the set
+dict itself (:mod:`repro.cache.cache`).
 """
 
 from collections import OrderedDict, deque

@@ -22,6 +22,9 @@ clock: the machine registers :meth:`background_tick` as a clock callback,
 so device-side asynchrony advances whenever host time does.
 """
 
+import functools
+import weakref
+
 from repro.cache.mechanisms import make_mechanisms
 from repro.core.config import PaxConfig
 from repro.core.epochs import EpochManager
@@ -57,7 +60,10 @@ class PaxDevice:
         if self.mech is not None:
             # HBM LRU victims fall into the side buffers instead of
             # vanishing (guarded: never capture a host-modified line).
-            self.hbm.on_evict = self._mech_capture
+            # Bound through a weak proxy: a bound method would make a
+            # device -> hbm -> device cycle that only the cyclic GC frees.
+            self.hbm.on_evict = functools.partial(
+                PaxDevice._mech_capture, weakref.proxy(self))
         self.writeback = WriteBackCoordinator(pool, self.hbm, self.undo,
                                               self.config)
         from repro.core.pipeline import PersistPipeline
@@ -83,16 +89,6 @@ class PaxDevice:
         self._c_pm_line_reads = stats.counter("pm_line_reads")
         self._c_mech_hits = stats.counter("mech_hits")
         self._c_mech_prefetch_reads = stats.counter("mech_prefetch_reads")
-        # Exact-type dispatch table: cheaper than an isinstance chain,
-        # and the message classes are final by design.
-        self._handlers = {
-            msg.RdShared: self._rd_shared,
-            msg.RdOwn: self._rd_own,
-            msg.DirtyEvict: self._dirty_evict,
-            msg.CleanEvict: self._clean_evict,
-            msg.MemRd: self._mem_rd,
-            msg.MemWr: self._mem_wr,
-        }
 
     # -- address translation ---------------------------------------------------
 
@@ -117,10 +113,10 @@ class PaxDevice:
 
     def handle_message(self, message):
         """Service one host request; returns ``(response, service_ns)``."""
-        handler = self._handlers.get(type(message))
+        handler = self._HANDLERS.get(type(message))
         if handler is None:
             raise ProtocolError("PAX cannot handle %r" % (message,))
-        return handler(message)
+        return handler(self, message)
 
     def _clean_evict(self, message):
         self._c_clean_evicts.add(1)
@@ -306,6 +302,19 @@ class PaxDevice:
             service += pumped * 1e9 / self.config.log_drain_bps
             self._c_stalled_evicts.add(1)
         return msg.Go(message.addr), service
+
+    #: Exact-type dispatch table of plain functions, called with the
+    #: device: cheaper than an isinstance chain (the message classes are
+    #: final by design), and unlike a per-instance dict of bound methods
+    #: it holds no reference back to the device.
+    _HANDLERS = {
+        msg.RdShared: _rd_shared,
+        msg.RdOwn: _rd_own,
+        msg.DirtyEvict: _dirty_evict,
+        msg.CleanEvict: _clean_evict,
+        msg.MemRd: _mem_rd,
+        msg.MemWr: _mem_wr,
+    }
 
     # -- persist: the group commit (paper §3.3) ------------------------------------
 

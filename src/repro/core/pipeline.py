@@ -31,6 +31,8 @@ Correctness argument (the subtle part):
   (:mod:`repro.core.recovery` handles multi-epoch logs).
 """
 
+import weakref
+
 from repro.errors import ProtocolError
 from repro.util.stats import StatGroup
 
@@ -86,7 +88,10 @@ class PersistPipeline:
     """Orders and retires in-flight epochs for one device."""
 
     def __init__(self, device):
-        self._device = device
+        # The device owns this pipeline; a weak proxy back to it keeps
+        # the pair out of a reference cycle, so a dropped device (and its
+        # PM pool) is freed at once rather than at the next cyclic GC.
+        self._device = weakref.proxy(device)
         self._flights = []
         self.stats = StatGroup("persist_pipeline")
 

@@ -59,10 +59,13 @@ _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set)
 _HOT_PATH_METHODS = {
     "cache/hierarchy.py": frozenset({
         "load", "store", "_access_line", "_hit_path", "_miss_path",
-        "_charge", "_fill_l1", "_evict_from_l2", "_upgrade",
-        "_invalidate_sharers", "_pull_from_core", "snoop_shared",
-        "snoop_invalidate"}),
+        "_charge", "_fill_core", "_fill_l1", "_evict_from_l2",
+        "_insert_llc", "_upgrade", "_invalidate_sharers",
+        "_pull_from_core", "snoop_shared", "snoop_invalidate"}),
     "cache/cache.py": frozenset({"lookup", "peek", "insert", "remove"}),
+    # The directory is written on every miss, upgrade and eviction.
+    "cache/coherence.py": frozenset({"set_state", "drop"}),
+    # The mechanism buffers consult their policy per simulated access.
     "cache/replacement.py": frozenset({
         "on_access", "on_insert", "on_remove", "victim"}),
     # Miss-path mechanisms sit on every LLC/HBM miss; their probe and

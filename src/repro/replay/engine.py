@@ -8,8 +8,8 @@ Two engines re-execute a recorded trace against a freshly built backend:
   layer (hash probing, key encoding), which is what a trace makes
   redundant.
 * **fast** — for the single-core PAX shape, a straight-line interpreter
-  over the columnar event arrays. One Python loop advances cache tag
-  dictionaries, the device's HBM/undo/write-back state, CXL link
+  over the columnar event arrays. One Python loop advances the real
+  cache sets, the device's HBM/undo/write-back state, CXL link
   bandwidth mirrors and the simulated clock directly, with stat counters
   bound as locals and access-latency histogram samples buffered for a
   batched (numpy-accelerated) settle. It reproduces the per-access
@@ -26,7 +26,6 @@ per-access path stays the executable spec (docs/performance.md).
 from repro.cache.coherence import DirectoryEntry
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import CacheLine
-from repro.cache.replacement import LruPolicy
 from repro.core.hbm import HbmCache
 from repro.cxl.adapter import BusOp
 from repro.cxl.link import CxlLink
@@ -41,7 +40,6 @@ from repro.replay._np import HAVE_NUMPY, np
 from repro.replay.recorder import _resolve
 from repro.util.stats import Histogram
 
-from collections import OrderedDict
 from itertools import islice
 
 _RESERVOIR = Histogram.RESERVOIR_SIZE
@@ -155,8 +153,8 @@ def fast_eligible(backend):
 
     The envelope is deliberately narrow — everything outside it silently
     uses the generic engine, which is exact for any backend the recorder
-    accepts: single-core CXL.cache PAX, LRU everywhere, no tracers, no
-    lossy link, no store hooks.
+    accepts: single-core CXL.cache PAX, no tracers, no lossy link, no
+    store hooks.
     """
     machine = backend.machine
     if type(machine) is not PaxMachine:
@@ -183,11 +181,6 @@ def fast_eligible(backend):
         return False
     if len(hier._homes) != 1 or type(hier._homes[0][2]) is not PaxHome:
         return False
-    core = hier._cores[0]
-    for cache in (core.l1, core.l2, hier._llc):
-        for policy in cache._policies:
-            if type(policy) is not LruPolicy:
-                return False
     device = machine.device
     if type(device.hbm) is not HbmCache:
         return False
@@ -322,16 +315,17 @@ def _replay_fast(trace, backend, stopwatch):
     """The straight-line single-core PAX interpreter.
 
     One Python loop over the columnar arrays handles single-line loads,
-    stores and marks with every piece of hot state — cache tag dicts, LRU
-    orders, directory entries, device HBM/undo mirrors, link bandwidth
+    stores and marks with every piece of hot state — the real cache
+    sets, directory entries, device HBM/undo mirrors, link bandwidth
     backlog, the simulated clock — bound as locals, mirroring the exact
     floating-point operation order of the per-access walk (hierarchy
     ``_hit_path``/``_miss_path``, ``DevicePort._transact``,
     ``BandwidthLimiter.submit``, ``PaxDevice`` handlers and
     ``background_tick``). Anything else — multi-line accesses, persists,
     raw space traffic, a non-empty device write-back buffer — settles the
-    mirrors back into the objects and delegates single events to the real
-    seam methods until the device is quiescent again.
+    scalar mirrors and counters back into the objects and delegates
+    single events to the real seam methods until the device is quiescent
+    again.
 
     The mirrored-state invariant: while the inner loop runs, the device
     write-back buffer is empty and the persist pipeline idle, so the only
@@ -418,15 +412,14 @@ def _replay_fast(trace, backend, stopwatch):
     hbm_cap = hbm.capacity_lines
 
     # -- cache geometry ---------------------------------------------------
+    # The loop works on the real sets (LRU-ordered dicts, shared with
+    # SetAssociativeCache), so delegated events need no cache copy-back.
     l1 = core.l1
     l2 = core.l2
     llc = hier._llc
     l1_sets = l1._sets
     l2_sets = l2._sets
     llc_sets = llc._sets
-    l1_orders = [policy._order for policy in l1._policies]
-    l2_orders = [policy._order for policy in l2._policies]
-    llc_orders = [policy._order for policy in llc._policies]
     l1_mask = l1._set_mask
     l2_mask = l2._set_mask
     llc_mask = llc._set_mask
@@ -435,39 +428,6 @@ def _replay_fast(trace, backend, stopwatch):
     llc_ways = llc.ways
     dir_entries = hier._dir_entries
     dir_get = dir_entries.get
-
-    # Merged per-set mirrors: one OrderedDict (addr -> line, LRU-ordered)
-    # stands in for the tag dict + LRU order dict pair, halving the dict
-    # traffic on every probe, fill and eviction. The line objects are
-    # shared with the real cache, so data/dirty mutations need no copy;
-    # settle() writes the tag and order structures back in place, and
-    # resync() rebuilds the mirrors after any delegated event.
-    l1m = [None] * len(l1_sets)
-    l2m = [None] * len(l2_sets)
-    llcm = [None] * len(llc_sets)
-    cache_levels = ((l1_sets, l1_orders, l1m),
-                    (l2_sets, l2_orders, l2m),
-                    (llc_sets, llc_orders, llcm))
-
-    def rebuild_caches():
-        for sets, orders, mirrors in cache_levels:
-            for index, order in enumerate(orders):
-                bucket = sets[index]
-                mirrors[index] = OrderedDict(
-                    (addr, bucket[addr]) for addr in order)
-
-    def settle_caches():
-        for sets, orders, mirrors in cache_levels:
-            for index, mirror in enumerate(mirrors):
-                bucket = sets[index]
-                bucket.clear()
-                bucket.update(mirror)
-                order = orders[index]
-                order.clear()
-                for addr in mirror:
-                    order[addr] = True
-
-    rebuild_caches()
 
     # -- bound stat counters (hot-path-stat-lookup rule) -------------------
     c_loads = hier._c_loads
@@ -695,7 +655,6 @@ def _replay_fast(trace, backend, stopwatch):
         n_rdo = n_rds = n_logd = n_bsrv = n_hbmh = n_hbmm = n_hbmi = 0
         n_hbme = n_pmr = n_dev = n_sev = 0
         n_trans = n_trrm = n_trwm = n_trwu = n_tred = 0
-        settle_caches()
         _flush_access_hist(access_hist, abuf)
         del abuf[:]
 
@@ -711,7 +670,6 @@ def _replay_fast(trace, backend, stopwatch):
         d2h_backlog = d2h._backlog_bytes
         d2h_last = d2h._last_ns
         rebuild_states0()
-        rebuild_caches()
 
     # One CXL hop each way, mirroring CxlLink.send_* + BandwidthLimiter
     # .submit against the local clock/backlog mirrors.
@@ -893,7 +851,7 @@ def _replay_fast(trace, backend, stopwatch):
     def insert_llc(new_line):
         nonlocal n_llce, n_llcw
         line_addr = new_line.addr
-        bucket = llcm[(line_addr >> 6) & llc_mask]
+        bucket = llc_sets[(line_addr >> 6) & llc_mask]
         existing = bucket.get(line_addr)
         if existing is not None:
             existing.data = bytearray(new_line.data)
@@ -1013,7 +971,7 @@ def _replay_fast(trace, backend, stopwatch):
                 # fill has already set it to M there, making the block a
                 # no-op on that path.
                 index1 = (line_addr >> 6) & l1_mask
-                bucket1 = l1m[index1]
+                bucket1 = l1_sets[index1]
                 line = bucket1.get(line_addr)
                 if line is not None:
                     # -- L1 hit ------------------------------------------
@@ -1021,7 +979,7 @@ def _replay_fast(trace, backend, stopwatch):
                     n_l1c += 1
                     latency = l1_ns
                 else:
-                    bucket2 = l2m[(line_addr >> 6) & l2_mask]
+                    bucket2 = l2_sets[(line_addr >> 6) & l2_mask]
                     line = bucket2.get(line_addr)
                     if line is not None:
                         # -- L2 hit --------------------------------------
@@ -1043,7 +1001,7 @@ def _replay_fast(trace, backend, stopwatch):
                                 "directory says core 0 holds 0x%x but L2 "
                                 "lost it" % line_addr)
                         # -- miss path (single core: no owner/sharers) ---
-                        bucketl = llcm[(line_addr >> 6) & llc_mask]
+                        bucketl = llc_sets[(line_addr >> 6) & llc_mask]
                         llc_line = bucketl.get(line_addr)
                         latency = llc_ns
                         if llc_line is not None:
@@ -1081,7 +1039,7 @@ def _replay_fast(trace, backend, stopwatch):
                             # L1, drop the directory entry, spill dirty
                             # data to the LLC victim cache.
                             victim_addr = victim2.addr
-                            if l1m[(victim_addr >> 6) & l1_mask] \
+                            if l1_sets[(victim_addr >> 6) & l1_mask] \
                                     .pop(victim_addr, None) is not None:
                                 n_l1i += 1
                             ventry = dir_get(victim_addr)
@@ -1091,8 +1049,7 @@ def _replay_fast(trace, backend, stopwatch):
                                     del dir_entries[victim_addr]
                             states0.pop(victim_addr, None)
                             if victim2.dirty:
-                                latency += insert_llc(CacheLine(
-                                    victim_addr, victim2.data, True))
+                                latency += insert_llc(victim2)
                         else:
                             bucket2[line_addr] = line
                         if len(bucket1) >= l1_ways:
@@ -1108,7 +1065,7 @@ def _replay_fast(trace, backend, stopwatch):
                     state = states0[line_addr]
                     if state == "S":
                         # _upgrade: single core, no sharers to snoop
-                        if llcm[(line_addr >> 6) & llc_mask] \
+                        if llc_sets[(line_addr >> 6) & llc_mask] \
                                 .pop(line_addr, None) is not None:
                             n_llci += 1
                         latency += acquire_own_nodata(line_addr)

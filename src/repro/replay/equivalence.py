@@ -162,10 +162,13 @@ def fingerprint(backend):
     for core in hier._cores:
         caches.append(("core%d.l1" % core.core_id, core.l1))
         caches.append(("core%d.l2" % core.core_id, core.l2))
+    # lines() runs set by set in recency order, so the tuple also pins
+    # every set's LRU order: a divergence shows up here, not only at the
+    # later eviction it would change.
     for label, cache in caches:
         out["cache:%s" % label] = tuple(
-            sorted((line.addr, bytes(line.data), line.dirty)
-                   for line in cache.lines()))
+            (line.addr, bytes(line.data), line.dirty)
+            for line in cache.lines())
     return out
 
 

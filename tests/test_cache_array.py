@@ -1,5 +1,7 @@
 """Set-associative cache arrays: geometry, lookup, eviction."""
 
+import random
+
 import pytest
 
 from repro.cache.cache import CacheConfig, SetAssociativeCache
@@ -99,6 +101,90 @@ class TestLookupInsert:
         cache.insert(line(0x00))
         cache.insert(line(0x40))
         assert sorted(l.addr for l in cache.lines()) == [0x00, 0x40]
+
+
+class ListLruModel:
+    """Independent reference: one Python list per set, least recent first."""
+
+    def __init__(self, sets, ways):
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+
+    def _set(self, addr):
+        return self.sets[(addr // CACHE_LINE_SIZE) % len(self.sets)]
+
+    def lookup(self, addr):
+        members = self._set(addr)
+        if addr in members:
+            members.remove(addr)
+            members.append(addr)
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, addr):
+        members = self._set(addr)
+        victim = None
+        if addr in members:
+            members.remove(addr)
+        elif len(members) == self.ways:
+            victim = members.pop(0)
+            self.evictions += 1
+        members.append(addr)
+        return victim
+
+    def remove(self, addr):
+        members = self._set(addr)
+        if addr in members:
+            members.remove(addr)
+            self.invalidations += 1
+            return True
+        return False
+
+    def clear(self):
+        for members in self.sets:
+            members.clear()
+
+    def resident(self):
+        return [addr for members in self.sets for addr in members]
+
+
+class TestAgainstReferenceModel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_ops_match_list_lru(self, seed):
+        rng = random.Random(seed)
+        sets, ways = 4, 3
+        cache = tiny_cache(ways=ways, sets=sets)
+        model = ListLruModel(sets, ways)
+        # 24 distinct lines over 4 sets: 6 candidates per 3-way set, so
+        # hits, conflict evictions and removals all happen often.
+        addrs = [n * CACHE_LINE_SIZE for n in range(24)]
+        for step in range(3000):
+            op = rng.random()
+            addr = rng.choice(addrs)
+            if op < 0.4:
+                got = cache.lookup(addr)
+                assert (got is not None) == model.lookup(addr)
+                if got is not None:
+                    assert got.addr == addr
+            elif op < 0.8:
+                fill = step & 0xFF
+                victim = cache.insert(line(addr, fill))
+                expected = model.insert(addr)
+                assert (None if victim is None else victim.addr) == expected
+                assert cache.peek(addr).data[0] == fill
+            elif op < 0.995:
+                removed = cache.remove(addr)
+                assert (removed is not None) == model.remove(addr)
+            else:
+                cache.clear()
+                model.clear()
+            assert [l.addr for l in cache.lines()] == model.resident()
+        assert len(cache) == len(model.resident())
+        for name in ("hits", "misses", "evictions", "invalidations"):
+            assert cache.stats.get(name) == getattr(model, name), name
 
 
 class TestCacheLine:

@@ -79,6 +79,21 @@ def test_fast_and_generic_agree_with_each_other():
     assert diff(fingerprint(a), fingerprint(b)) == []
 
 
+def test_fingerprint_sees_recency_order():
+    # Same lines, same bytes, same counters -- only one set's LRU order
+    # differs. The fingerprint must still tell the two machines apart,
+    # so an engine that diverged in recency fails before it changes an
+    # eviction.
+    a, b = build_backend("pax"), build_backend("pax")
+    _drive(a)
+    _drive(b)
+    l2 = b.machine.hierarchy.core_caches(0)[1]
+    bucket = next(s for s in l2._sets if len(s) >= 2)
+    bucket.move_to_end(next(iter(bucket)))
+    assert [key for key, _a, _b in diff(fingerprint(a), fingerprint(b))] \
+        == ["cache:core0.l2"]
+
+
 def test_replay_from_serialized_bytes_matches():
     # The equivalence must survive a disk round trip, not just the
     # in-memory Trace object.
