@@ -12,7 +12,9 @@ first-touch, and 64x write amplification in the log (4 KiB per page vs
 96 B per line).
 """
 
+import functools
 import struct
+import weakref
 
 from repro.baselines.base import StructureBackend
 from repro.errors import LogError
@@ -56,6 +58,9 @@ class PageLog:
         self._layout = layout
         self.write_offset = 0
         self.stats = StatGroup("page_log")
+        # Per-append counters bound once (hot-path-stat-lookup rule).
+        self._c_pages = self.stats.counter("pages")
+        self._c_bytes = self.stats.counter("bytes")
 
     def append(self, epoch, page_addr, old_page):
         """Durably log one page's pre-image."""
@@ -67,8 +72,8 @@ class PageLog:
         self._space.write(base, header.ljust(PAGE_ENTRY_HEADER, b"\x00"))
         self._space.write(base + PAGE_ENTRY_HEADER, old_page)
         self.write_offset += PAGE_ENTRY_SIZE
-        self.stats.counter("pages").add(1)
-        self.stats.counter("bytes").add(PAGE_ENTRY_SIZE)
+        self._c_pages.value += 1
+        self._c_bytes.value += PAGE_ENTRY_SIZE
 
     def scan(self):
         """Yield ``(epoch, page_addr, old_page)`` durable entries in order."""
@@ -111,7 +116,7 @@ class MprotectBackend(StructureBackend):
         self._log = PageLog(self._machine, self._layout)
         self._table = PageTable(0, self._layout.arena_limit)
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
-                                     self._on_fault)
+                                     self._fault_handler())
         self._epoch = self._read_cell(self._layout.commit_cell) + 1
         self._capacity = capacity
         root = self._read_cell(self._layout.root_cell)
@@ -142,6 +147,16 @@ class MprotectBackend(StructureBackend):
         return self._machine
 
     # -- fault handling -----------------------------------------------------------
+
+    def _fault_handler(self):
+        """``_on_fault`` bound through a weak proxy.
+
+        The accessor lives as long as the backend; a bound method would
+        make a backend -> accessor -> backend cycle that only the cyclic
+        GC frees.
+        """
+        return functools.partial(MprotectBackend._on_fault,
+                                 weakref.proxy(self))
 
     def _on_fault(self, page):
         """First store to ``page`` this epoch: trap, log pre-image, unprotect."""
@@ -183,7 +198,7 @@ class MprotectBackend(StructureBackend):
         self._epoch = committed + 1
         self._table = PageTable(0, self._layout.arena_limit)
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
-                                     self._on_fault)
+                                     self._fault_handler())
         self._alloc = PmAllocator.attach(self._mem)
         self._reattach_structure(self._mem, self._alloc,
                                  self._read_cell(self._layout.root_cell))

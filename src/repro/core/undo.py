@@ -105,7 +105,7 @@ class UndoLogger:
         record = self._pending.popleft()
         self._region.append(record.epoch, record.pool_addr, record.old_data)
         self._durable_seq = record.seq
-        self._c_drained.add(1)
+        self._c_drained.value += 1
         if self.tracer is not None:
             self.tracer.on_log_durable(record.seq)
         return ENTRY_SIZE

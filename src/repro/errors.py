@@ -130,6 +130,12 @@ class StatsError(ReproError):
     asked to decrease, or a table row with the wrong arity)."""
 
 
+class ChecksumError(ReproError):
+    """A checksum kernel was misused: a fixed-length CRC built for a
+    non-positive length, or handed input of a length it was not built
+    for (see :func:`repro.util.checksum.crc32c_fixed`)."""
+
+
 class SimulationError(ReproError):
     """Simulated-time machinery was misused (clock moved backwards,
     negative transfer sizes, a stopwatch stopped before starting)."""

@@ -78,6 +78,11 @@ _HOT_PATH_METHODS = {
     "mem/layout.py": frozenset({"get", "set"}),
     "pm/device.py": frozenset({"write"}),
     "pm/log.py": frozenset({"append"}),
+    # The software baselines flush, fence and log on every structure
+    # store (or first-touch page fault, for mprotect).
+    "pm/flush.py": frozenset({"clwb", "sfence"}),
+    "baselines/wal.py": frozenset({"append", "reset"}),
+    "baselines/mprotect.py": frozenset({"append"}),
     "sim/bandwidth.py": frozenset({"record", "submit"}),
     "sim/clock.py": frozenset({"advance"}),
     "cxl/link.py": frozenset({"send_h2d", "send_d2h"}),

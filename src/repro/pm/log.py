@@ -35,8 +35,7 @@ mistaken for live ones.
 import struct
 
 from repro.errors import LogError
-from repro.util.bitops import is_aligned
-from repro.util.checksum import crc32c
+from repro.util.checksum import crc32c_fixed
 from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
 
@@ -44,8 +43,15 @@ ENTRY_MAGIC = 0x554E444F
 ENTRY_SIZE = 96
 
 _PREFIX = struct.Struct("<IHHQQ")      # magic, len, pad, epoch, addr
-_CRC = struct.Struct("<I")
-_CRC_OFFSET = _PREFIX.size + CACHE_LINE_SIZE
+# The CRC-covered body in one pack: "64s" zero-pads a short payload.
+_BODY = struct.Struct("<IHHQQ%ds" % CACHE_LINE_SIZE)
+_TAIL = struct.Struct("<II")           # crc, reserved
+_CRC_OFFSET = _BODY.size
+_body_crc = crc32c_fixed(_CRC_OFFSET)
+
+#: The zeroed header an append writes past the tail and a reset writes at
+#: the base: a *hole* that ends every scan there.
+POISON = bytes(_PREFIX.size)
 
 
 class UndoEntry:
@@ -67,14 +73,13 @@ class UndoEntry:
 def encode_entry(epoch, addr, data):
     """Serialize one entry; ``data`` is the old line contents (<= 64 B)."""
     data = bytes(data)
-    if not 1 <= len(data) <= CACHE_LINE_SIZE:
-        raise LogError("undo payload must be 1..64 bytes, got %d" % len(data))
-    if not is_aligned(addr, CACHE_LINE_SIZE):
+    length = len(data)
+    if not 1 <= length <= CACHE_LINE_SIZE:
+        raise LogError("undo payload must be 1..64 bytes, got %d" % length)
+    if addr & (CACHE_LINE_SIZE - 1):
         raise LogError("undo entries target line-aligned addresses")
-    payload = data.ljust(CACHE_LINE_SIZE, b"\x00")
-    prefix = _PREFIX.pack(ENTRY_MAGIC, len(data), 0, epoch, addr)
-    body = prefix + payload
-    return body + _CRC.pack(crc32c(body)) + b"\x00" * (ENTRY_SIZE - _CRC_OFFSET - 4)
+    body = _BODY.pack(ENTRY_MAGIC, length, 0, epoch, addr, data)
+    return body + _TAIL.pack(_body_crc(body), 0)
 
 
 #: Per-slot verdicts from :func:`classify_entry`.
@@ -101,8 +106,8 @@ def classify_entry(blob, offset=0):
         return SLOT_HOLE, None
     if magic != ENTRY_MAGIC or not 1 <= length <= CACHE_LINE_SIZE:
         return SLOT_INVALID, None
-    (stored_crc,) = _CRC.unpack_from(blob, _CRC_OFFSET)
-    if stored_crc != crc32c(blob[:_CRC_OFFSET]):
+    stored_crc, _reserved = _TAIL.unpack_from(blob, _CRC_OFFSET)
+    if stored_crc != _body_crc(blob[:_CRC_OFFSET]):
         return SLOT_INVALID, None
     data = bytes(blob[_PREFIX.size:_PREFIX.size + length])
     return SLOT_VALID, UndoEntry(epoch, addr, data, offset)
@@ -167,21 +172,22 @@ class UndoLogRegion:
 
     def append(self, epoch, addr, data):
         """Durably append one entry; returns its region-relative offset."""
-        if self.is_full:
+        offset = self.write_offset
+        end = offset + ENTRY_SIZE
+        size = self.size
+        if end > size:
             raise LogError(
                 "undo log full (%d entries); call persist() more often or "
                 "grow the log region" % self.used_entries)
         blob = encode_entry(epoch, addr, data)
-        offset = self.write_offset
         self.device.write(self.base + offset, blob)
-        self.write_offset = offset + ENTRY_SIZE
+        self.write_offset = end
         # Poison the next entry's header so a recovery scan terminates at
         # the true tail instead of resurrecting stale pre-reset entries.
-        if self.write_offset + ENTRY_SIZE <= self.size:
-            self.device.write(self.base + self.write_offset,
-                              bytes(_PREFIX.size))
-        self._c_appends.add(1)
-        self._c_bytes.add(ENTRY_SIZE)
+        if end + ENTRY_SIZE <= size:
+            self.device.write(self.base + end, POISON)
+        self._c_appends.value += 1
+        self._c_bytes.value += ENTRY_SIZE
         return offset
 
     def reset(self):
@@ -189,7 +195,7 @@ class UndoLogRegion:
         # Poison the first header so a recovery scan of the rewound log
         # terminates immediately; old entry bodies beyond it are unreachable
         # because scanning stops at the first invalid header.
-        self.device.write(self.base, bytes(_PREFIX.size))
+        self.device.write(self.base, POISON)
         self.write_offset = 0
         self.stats.counter("resets").add(1)
 

@@ -56,28 +56,36 @@ _PAYLOAD_KINDS = fmt.PAYLOAD_KINDS
 _NP_SETTLE_MIN = 256
 
 #: Drain-credit saturation window (bytes). Credits accrue at ~2 GB/s of
-#: simulated time with no cap, while consumption is one log entry or
-#: cache line per drain; once both credits exceed _CREDIT_SAT the fast
-#: loop stops mirroring the per-event accrual arithmetic and accrues
-#: lazily: every ``credit >= entry`` comparison is decided identically
-#: on both sides (both values are millions of bytes above the 96-byte
-#: threshold, and lazy-vs-eager float rounding differs by well under a
-#: byte), so behaviour — drain timing, hence every counter and sim_ns —
-#: is unchanged. The credits themselves are scratch accounting, not part
-#: of the observable machine state. If a credit ever sinks back below
-#: _CREDIT_LOW the loop returns to exact per-event accrual.
-_CREDIT_SAT = float(1 << 24)
-_CREDIT_LOW = float(1 << 20)
+#: simulated time with no cap. Once both credits exceed _CREDIT_SAT the
+#: fast loop stops mirroring the per-event accrual arithmetic and accrues
+#: lazily from an anchor instead (the saturated lane).
+#:
+#: What the floor protects: every drain decision the loop makes while
+#: saturated (``credit >= ENTRY_SIZE`` for the log, ``>= 64`` for the
+#: write-back buffer) must come out as it would under eager accrual. An
+#: event deposits at most one 96 B log record and one 64 B line, so a
+#: credit that starts the event at or above _CREDIT_LOW (4 KiB) ends it
+#: far above either threshold, whichever accrual order produced it; the
+#: two orders differ by float rounding, well under a byte. Drain timing,
+#: hence every counter and sim_ns, is unchanged. The credits themselves
+#: are scratch accounting, not part of the observable machine state. If
+#: a credit sinks below _CREDIT_LOW the loop returns to exact per-event
+#: accrual; the 16x gap to _CREDIT_SAT keeps it from flapping. The floor
+#: is sized by that invariant, not by the run: a replay lasting a few
+#: simulated ms banks only a few MB of credit, so a floor in the MB range
+#: would never let the lane engage.
+_CREDIT_SAT = float(1 << 16)
+_CREDIT_LOW = float(1 << 12)
 
 
 class ReplayResult:
     """What one replay produced (see :func:`replay_trace`)."""
 
     __slots__ = ("backend", "engine", "events", "sim_ns", "marks",
-                 "wall_s", "wall_s_timed")
+                 "wall_s", "wall_s_timed", "saturated_events")
 
     def __init__(self, backend, engine, events, sim_ns, marks,
-                 wall_s, wall_s_timed):
+                 wall_s, wall_s_timed, saturated_events):
         self.backend = backend
         self.engine = engine
         self.events = events
@@ -85,6 +93,9 @@ class ReplayResult:
         self.marks = marks          # mark code -> sim_ns at the mark
         self.wall_s = wall_s        # whole-trace wall clock (None w/o stopwatch)
         self.wall_s_timed = wall_s_timed   # wall after MARK_TIMED
+        #: Events the fast engine's saturated same-line lane served
+        #: (always 0 on the generic engine).
+        self.saturated_events = saturated_events
 
     @property
     def sim_ns_timed(self):
@@ -215,8 +226,10 @@ def replay_trace(trace, backend, engine="auto", stopwatch=None):
         raise TraceError("backend %r is outside the fast-engine envelope"
                          % getattr(backend, "name", backend))
     start_wall = stopwatch() if stopwatch is not None else None
+    saturated = 0
     if use_fast:
-        marks, mark_walls = _replay_fast(trace, backend, stopwatch)
+        marks, mark_walls, saturated = _replay_fast(trace, backend,
+                                                    stopwatch)
         chosen = "fast"
     else:
         marks, mark_walls = _replay_generic(trace, backend, stopwatch)
@@ -229,7 +242,7 @@ def replay_trace(trace, backend, engine="auto", stopwatch=None):
         timed_wall = end_wall - mark_walls[fmt.MARK_TIMED]
     return ReplayResult(backend, chosen, len(trace),
                         backend.machine.clock.now_ns, marks,
-                        wall_s, timed_wall)
+                        wall_s, timed_wall, saturated)
 
 
 def _apply_footer(footer, backend):
@@ -331,6 +344,8 @@ def _replay_fast(trace, backend, stopwatch):
     write-back buffer is empty and the persist pipeline idle, so the only
     background work per clock advance is credit accrual plus the undo
     drain — both inlined below exactly as ``background_tick`` does them.
+
+    Returns ``(marks, mark_walls, saturated_events)``.
     """
     seams = _Seams(backend)
     machine = backend.machine
@@ -533,6 +548,7 @@ def _replay_fast(trace, backend, stopwatch):
     n_stores = 0
     n_ul = 0     # ultra-lane loads (count once, fan out in settle)
     n_us = 0     # ultra-lane stores
+    n_sat = 0    # ultra-lane events over the whole replay (not a stat)
     n_l1c = 0    # l1 hits (cache-level and hierarchy counters move as one)
     n_l1m = 0    # l1 cache misses
     n_l2c = 0    # l2 hits (both counters)
@@ -578,7 +594,7 @@ def _replay_fast(trace, backend, stopwatch):
     dev_dirty = False
 
     def settle():
-        nonlocal n_loads, n_stores, n_ul, n_us
+        nonlocal n_loads, n_stores, n_ul, n_us, n_sat
         nonlocal n_l1c, n_l1m, n_l2c
         nonlocal n_l1e, n_l1i, n_l2e, n_llcc
         nonlocal n_llcm, n_llci, n_llce, n_llcw, n_upg, n_memf
@@ -601,6 +617,7 @@ def _replay_fast(trace, backend, stopwatch):
         d2h._backlog_bytes = d2h_backlog
         d2h._last_ns = d2h_last
         same = n_ul + n_us
+        n_sat += same
         c_loads.value += n_loads + n_ul
         c_stores.value += n_stores + n_us
         hits1 = n_l1c + same
@@ -1138,4 +1155,4 @@ def _replay_fast(trace, backend, stopwatch):
             i = n   # every remaining event consumed by the fast loop
 
     settle()
-    return marks, mark_walls
+    return marks, mark_walls, n_sat

@@ -1,16 +1,25 @@
 """The on-PM undo log region: encoding, scanning, durability discipline."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import LogError
+from repro.errors import ChecksumError, LogError
 from repro.pm.device import PmDevice
 from repro.pm.log import (
     ENTRY_SIZE,
+    TAIL_CORRUPT,
+    TAIL_TORN,
     UndoLogRegion,
     decode_entry,
     encode_entry,
 )
+from repro.util.checksum import crc32c, crc32c_fixed
+
+
+#: The entry-body kernel, built once (construction costs ~10 ms).
+BODY_CRC = crc32c_fixed(88)
 
 
 def region(entries=16):
@@ -62,6 +71,74 @@ class TestEncoding:
         assert entry is not None
         assert entry.epoch == epoch
         assert entry.data == payload
+
+
+class TestOnMediaFormat:
+    """Pinned entry bytes: any encoder change must reproduce them."""
+
+    # magic "UNDO", len 3, pad, epoch 7, addr 0x1240, "abc" + 61 zero
+    # bytes of padding, CRC-32C of bytes [0, 88), reserved.
+    SHORT = bytes.fromhex(
+        "4f444e55" "0300" "0000" "0700000000000000" "4012000000000000"
+        "616263" + "00" * 61 + "6cfc1c93" "00000000")
+    FULL = bytes.fromhex(
+        "4f444e55" "4000" "0000" "efcdab8967452301" "c0ffff7f00000000"
+        + bytes(range(0x40, 0x80)).hex() + "91d1c33c" "00000000")
+
+    def test_short_payload_golden_bytes(self):
+        assert encode_entry(7, 0x1240, b"abc") == self.SHORT
+
+    def test_full_payload_golden_bytes(self):
+        blob = encode_entry(0x0123456789ABCDEF, 0x7FFFFFC0,
+                            bytes(range(0x40, 0x80)))
+        assert blob == self.FULL
+
+    def test_golden_bytes_decode(self):
+        entry = decode_entry(self.SHORT)
+        assert (entry.epoch, entry.addr, entry.data) == (7, 0x1240, b"abc")
+
+    @pytest.mark.parametrize("body", [
+        bytes(88), b"\xff" * 88,
+        bytes(random.Random(13).getrandbits(8) for _ in range(88))],
+        ids=["zeros", "ones", "random"])
+    def test_fixed_kernel_matches_crc32c(self, body):
+        assert BODY_CRC(body) == crc32c(body)
+
+    @given(st.binary(min_size=88, max_size=88))
+    def test_fixed_kernel_matches_crc32c_property(self, body):
+        assert BODY_CRC(body) == crc32c(body)
+
+    @pytest.mark.parametrize("length", [0, -1, 8.0])
+    def test_fixed_kernel_rejects_bad_length(self, length):
+        with pytest.raises(ChecksumError):
+            crc32c_fixed(length)
+
+    def test_fixed_kernel_rejects_wrong_input_length(self):
+        if BODY_CRC is crc32c:
+            pytest.skip("interpreter without int.bit_count: plain crc32c")
+        with pytest.raises(ChecksumError):
+            BODY_CRC(bytes(87))
+
+    def test_torn_tail_classified(self):
+        log, device = region()
+        log.append(2, 0x1000, b"a" * 64)
+        # The second append persisted its body but not its CRC.
+        blob = encode_entry(2, 0x1040, b"b" * 64)
+        device.write(4096 + ENTRY_SIZE, blob[:88] + bytes(8))
+        result = log.scan_report(committed_epoch=1)
+        assert result.tail == TAIL_TORN
+        assert [e.addr for e in result.entries] == [0x1000]
+
+    def test_corrupt_payload_classified(self):
+        log, device = region()
+        for i in range(3):
+            log.append(2, 0x1000 + 64 * i, bytes([i + 1]) * 64)
+        # One payload bit of the middle entry flips on the media.
+        at = 4096 + ENTRY_SIZE + 40
+        device.write(at, bytes([device.read(at, 1)[0] ^ 0x10]))
+        result = log.scan_report(committed_epoch=1)
+        assert result.tail == TAIL_CORRUPT
+        assert [e.addr for e in result.entries] == [0x1000]
 
 
 class TestRegion:

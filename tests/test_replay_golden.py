@@ -71,6 +71,18 @@ def test_fast_engine_used_for_pax():
     assert diff(fingerprint(golden), fingerprint(fresh)) == []
 
 
+def test_saturated_lane_engages_on_fresh_backend():
+    # A fresh backend banks drain credit from time zero; within a short
+    # replay it must cross the saturation floor so consecutive same-line
+    # hits take the saturated lane, and the machine must still end up
+    # byte-identical to the recording.
+    golden, trace = _record_golden("pax")
+    fresh = build_backend("pax")
+    result = replay_trace(trace, fresh, engine="fast")
+    assert result.saturated_events > 0
+    assert diff(fingerprint(golden), fingerprint(fresh)) == []
+
+
 def test_fast_and_generic_agree_with_each_other():
     _golden, trace = _record_golden("pax")
     a, b = build_backend("pax"), build_backend("pax")

@@ -1,8 +1,10 @@
 """CRC-32C behaviour, including the incremental-seed property."""
 
+import sys
+
 from hypothesis import given, strategies as st
 
-from repro.util.checksum import crc32c, verify
+from repro.util.checksum import crc32c, crc32c_fixed, verify
 
 
 class TestCrc32c:
@@ -35,3 +37,9 @@ class TestCrc32c:
         corrupted = bytearray(data)
         corrupted[pos] ^= 0x01
         assert crc32c(data) != crc32c(bytes(corrupted))
+
+
+def test_fixed_kernel_falls_back_before_3_10(monkeypatch):
+    # int.bit_count is 3.10+; older interpreters get the table CRC.
+    monkeypatch.setattr(sys, "version_info", (3, 9, 18))
+    assert crc32c_fixed(88) is crc32c
