@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test bench examples quicktest lint staticcheck \
 	staticcheck-interproc fuzz fuzz-smoke perfbench perfbench-pr8 \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
-	sweep sweep-smoke layerbench-test layerbench-smoke clean
+	sweep sweep-smoke layerbench-test layerbench-smoke layerbench-ab clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -140,6 +140,19 @@ layerbench-test:
 
 layerbench-smoke:
 	$(PYTHON) layerbench/run.py --workload all --seconds 0.5 --trace 0
+
+# A/B against a git ref (benchmarks/layerbench_ab.py): exports REF with
+# git archive into a temporary directory, alternates base and change runs
+# one at a time, and prints each end-to-end metric's median, IQR and win
+# count.
+REF ?= HEAD
+WORKLOAD ?= pax_spill
+PAIRS ?= 5
+SEED ?= 1
+AB_SECONDS ?= 10
+layerbench-ab:
+	$(PYTHON) benchmarks/layerbench_ab.py --ref $(REF) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED) --seconds $(AB_SECONDS)
 
 examples:
 	@for script in examples/*.py; do \

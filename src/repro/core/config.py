@@ -4,6 +4,32 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+#: Drain-credit saturation floor (bytes). The undo log and the write-back
+#: buffer each earn drain credit at their drain rate for every simulated
+#: ns, with no cap. Once both credits are at or above CREDIT_SAT, nothing
+#: is pending and nothing is buffered, the background drain has nothing
+#: to decide, and two consumers may stop accruing per advance and settle
+#: the credit lazily from an anchor time instead, as
+#: ``bps * ((now - anchor) / 1e9)``: the device's dormant tick
+#: (:meth:`~repro.core.device.PaxDevice.background_tick`) and the fast
+#: replay engine's saturated lane.
+#:
+#: What the floor protects: every drain decision (``credit >= ENTRY_SIZE``
+#: for the log, ``>= 64`` for the write-back buffer) must come out as it
+#: would under eager accrual. One event deposits at most one 96 B log
+#: record and one 64 B line, so a credit that starts an event at or above
+#: CREDIT_LOW (4 KiB) ends it far above either threshold, whichever
+#: accrual order produced it; the two orders differ by float rounding,
+#: well under a byte. Drain timing, hence every counter and sim_ns, is
+#: unchanged. The credits themselves are scratch accounting, not part of
+#: the observable machine state. The 16x gap between the two floors keeps
+#: a consumer that drops back to eager accrual below CREDIT_LOW from
+#: flapping. The floor is sized by that invariant, not by the run: a
+#: replay lasting a few simulated ms banks only a few MB of credit, so a
+#: floor in the MB range would never let either consumer engage.
+CREDIT_SAT = float(1 << 16)
+CREDIT_LOW = float(1 << 12)
+
 
 @dataclass
 class PaxConfig:

@@ -18,15 +18,19 @@ Homes the vPM physical range. Servicing:
   the calling thread.
 
 Background work (log drain, gated write-back) runs off the simulated
-clock: the machine registers :meth:`background_tick` as a clock callback,
-so device-side asynchrony advances whenever host time does.
+clock: the machine attaches the device to its clock
+(:meth:`PaxDevice.attach_clock`), which runs :meth:`background_tick` on
+every advance, so device-side asynchrony advances whenever host time
+does. With nothing left to drain and both drain credits saturated, the
+tick goes dormant and the next request that can create drain work wakes
+it (see :meth:`PaxDevice.background_tick`).
 """
 
 import functools
 import weakref
 
 from repro.cache.mechanisms import make_mechanisms
-from repro.core.config import PaxConfig
+from repro.core.config import CREDIT_SAT, PaxConfig
 from repro.core.epochs import EpochManager
 from repro.core.hbm import HbmCache
 from repro.core.undo import UndoLogger
@@ -36,6 +40,11 @@ from repro.errors import AddressError, ProtocolError
 from repro.pm.log import UndoLogRegion
 from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
+
+
+def _no_clock():
+    """Stand-in clock reference of a device attached to no clock."""
+    return None
 
 
 class PaxDevice:
@@ -74,6 +83,20 @@ class PaxDevice:
         self._undo_drain = self.undo.drain_budget
         self._wb_drain = self.writeback.drain_budget
         self._pipeline_poll = self.pipeline.poll
+        # Dormant-tick state (see background_tick). The clock is held
+        # weakly: it holds the tick, so a strong reference back would
+        # make a clock -> tick -> device -> clock cycle.
+        self._clock_ref = _no_clock
+        #: True while the tick is off the clock, accruing credit lazily
+        #: from ``_anchor_ns``.
+        self.dormant = False
+        self._anchor_ns = 0.0
+        #: Pins the tick awake through a group commit, whose snoop loop
+        #: buffers lines without sending the device a message.
+        self._pinned = False
+        #: Ticks run (a plain count, not a stat: it differs between a run
+        #: whose tick sleeps and one whose tick never does).
+        self.ticks = 0
         self.stats = StatGroup("pax_device")
         # Per-message counters bound once (hot-path-stat-lookup rule).
         stats = self.stats
@@ -142,6 +165,8 @@ class PaxDevice:
         earlier PM write of the line this epoch would itself have logged
         first, and dedup keeps the original record).
         """
+        if self.dormant:
+            self.wake()
         pool_addr = self.to_pool(message.addr)
         self._c_mem_wr.add(1)
         if self.mech is not None:
@@ -164,6 +189,8 @@ class PaxDevice:
         """CXL.mem persist: the host has already CLWB'd its dirty lines
         (no device-to-host snoops exist to pull them); drain and commit.
         """
+        if self.dormant:
+            self.wake()
         total_ns = 0.0
 
         def charge(step_ns):
@@ -254,6 +281,8 @@ class PaxDevice:
         return msg.DataResponse(message.addr, data, "S"), service
 
     def _rd_own(self, message):
+        if self.dormant:
+            self.wake()
         pool_addr = self.to_pool(message.addr)
         self._c_rd_own.add(1)
         # Undo-log the epoch-start value: the newest *device-visible*
@@ -285,6 +314,8 @@ class PaxDevice:
         return msg.Go(message.addr, "M"), service
 
     def _dirty_evict(self, message):
+        if self.dormant:
+            self.wake()
         pool_addr = self.to_pool(message.addr)
         seq = self.undo.seq_for(pool_addr)
         if seq is None:
@@ -330,6 +361,15 @@ class PaxDevice:
         between them and background device work overlaps the commit —
         and the caller must not advance the clock again.
         """
+        # The snoop loop buffers pulled lines directly, with no message
+        # to wake the tick, so it stays awake for the whole commit.
+        self._pin_awake()
+        try:
+            return self._group_commit(snoop_port, clock)
+        finally:
+            self._pinned = False
+
+    def _group_commit(self, snoop_port, clock):
         total_ns = 0.0
 
         def charge(step_ns):
@@ -369,25 +409,52 @@ class PaxDevice:
         in-flight epoch handle plus the blocking ns; the commit completes
         in the background. ``handle.committed`` flips once durable.
         """
-        flight, blocking_ns = self.pipeline.begin(snoop_port, clock=clock)
+        # The snoop phase buffers lines directly (see persist); once it
+        # ends, the in-flight epoch keeps the tick awake until it commits.
+        self._pin_awake()
+        try:
+            flight, blocking_ns = self.pipeline.begin(snoop_port, clock=clock)
+        finally:
+            self._pinned = False
         self.pipeline.poll()
         self.stats.counter("persist_asyncs").add(1)
         return flight, blocking_ns
 
     # -- background asynchrony ---------------------------------------------------
 
+    def attach_clock(self, clock):
+        """Run :meth:`background_tick` on every advance of ``clock``.
+
+        The device keeps only a weak reference to the clock, which it
+        needs to take the tick off and put it back (see
+        :meth:`background_tick`).
+        """
+        self._clock_ref = weakref.ref(clock)
+        self.dormant = False
+        clock.on_advance(self.background_tick)
+
     def background_tick(self, prev_ns, now_ns):
         """Clock callback: drain log records and ready write-backs.
 
-        This fires on *every* clock advance — i.e. once per cache access —
-        so it goes through locally bound references.
+        This fires on *every* clock advance -- i.e. once per cache access
+        -- while the device has anything to decide, so it goes through
+        locally bound references. Once nothing is pending, buffered or in
+        flight and both drain credits are at or above the saturation
+        floor (:data:`~repro.core.config.CREDIT_SAT`), the tick takes
+        itself off the clock and records an anchor time. Every entry
+        point that can create drain work -- ``RdOwn``, ``DirtyEvict``,
+        ``MemWr``, the persists, :meth:`on_crash`, the fast replay engine
+        -- calls :meth:`wake` first, which settles the credit the dormant
+        span earned and puts the tick back. Credit only decides drains
+        above a threshold that a saturated credit clears whatever order
+        it accrued in, so the lazy settlement changes no drain, counter
+        or simulated time.
         """
+        self.ticks += 1
         delta_s = (now_ns - prev_ns) / 1e9
         config = self.config
         # Credit always accrues (a later burst may spend it), but the
-        # drain loops and the pipeline scan only run when there is work:
-        # in steady state the pending tail and flight list are empty and
-        # this callback is three float adds and three truth tests.
+        # drain loops and the pipeline scan only run when there is work.
         undo = self.undo
         undo._drain_credit += config.log_drain_bps * delta_s
         if undo._pending:
@@ -398,11 +465,40 @@ class PaxDevice:
             self._wb_drain(0.0)
         if self.pipeline._flights:
             self._pipeline_poll()
+        elif (writeback._drain_credit >= CREDIT_SAT
+              and undo._drain_credit >= CREDIT_SAT and not undo._pending
+              and not writeback._buffer and not self._pinned):
+            clock = self._clock_ref()
+            if clock is not None:
+                clock.remove_callback(self.background_tick)
+                self._anchor_ns = now_ns
+                self.dormant = True
+
+    def wake(self):
+        """Settle a dormant tick's credit and put it back on the clock."""
+        if not self.dormant:
+            return
+        self.dormant = False
+        clock = self._clock_ref()
+        if clock is None:
+            return
+        elapsed_s = (clock._now_ns - self._anchor_ns) / 1e9
+        config = self.config
+        self.undo._drain_credit += config.log_drain_bps * elapsed_s
+        self.writeback._drain_credit += config.writeback_drain_bps * elapsed_s
+        clock.on_advance(self.background_tick)
+
+    def _pin_awake(self):
+        if self.dormant:
+            self.wake()
+        self._pinned = True
 
     # -- crash ---------------------------------------------------------------------
 
     def on_crash(self):
         """Lose all volatile device state (SRAM buffers, HBM, pending log)."""
+        if self.dormant:
+            self.wake()
         self.undo.on_crash()
         self.writeback.on_crash()
         self.hbm.clear()

@@ -17,6 +17,27 @@ from repro.cxl import messages as msg
 from repro.errors import ProtocolError
 from repro.util.stats import StatGroup
 
+# Message classes bound to module globals for the per-transaction
+# exact-type checks in _required_answer and check_response.
+_RdShared = msg.RdShared
+_RdOwn = msg.RdOwn
+_DirtyEvict = msg.DirtyEvict
+_CleanEvict = msg.CleanEvict
+_DataResponse = msg.DataResponse
+_Go = msg.Go
+
+
+def _required_answer(request):
+    """``(response type, granted state or None)`` required for ``request``."""
+    kind = type(request)
+    if kind is _RdShared:
+        return _DataResponse, "S"
+    if kind is _RdOwn:
+        return (_DataResponse, "M") if request.need_data else (_Go, None)
+    if kind is _DirtyEvict or kind is _CleanEvict:
+        return _Go, None
+    raise ProtocolError("unknown request %r" % (request,))
+
 
 class BusOp:
     """Raw host coherence-bus operations (microarchitecture-flavoured)."""
@@ -63,18 +84,17 @@ class CxlAdapter:
 
     def expected_response(self, request):
         """The response type the protocol requires for ``request``."""
-        if isinstance(request, msg.RdShared):
-            return msg.DataResponse
-        if isinstance(request, msg.RdOwn):
-            return msg.DataResponse if request.need_data else msg.Go
-        if isinstance(request, (msg.DirtyEvict, msg.CleanEvict)):
-            return msg.Go
-        raise ProtocolError("unknown request %r" % (request,))
+        return _required_answer(request)[0]
 
     def check_response(self, request, response):
-        """Raise :class:`ProtocolError` if ``response`` is malformed."""
-        expected = self.expected_response(request)
-        if not isinstance(response, expected):
+        """Raise :class:`ProtocolError` if ``response`` is malformed.
+
+        Runs once per device transaction. Messages match by exact type,
+        as the device's own dispatch does: the protocol has no message
+        subclasses.
+        """
+        expected, granted = _required_answer(request)
+        if type(response) is not expected:
             raise ProtocolError(
                 "%s answered with %s, protocol requires %s"
                 % (request.name, response.name, expected.__name__))
@@ -82,11 +102,7 @@ class CxlAdapter:
             raise ProtocolError(
                 "response address 0x%x does not match request 0x%x"
                 % (response.addr, request.addr))
-        if isinstance(request, msg.RdShared) and response.state != "S":
-            raise ProtocolError("RdShared must be granted S, got %s"
-                                % response.state)
-        if (isinstance(request, msg.RdOwn) and request.need_data
-                and response.state != "M"):
-            raise ProtocolError("RdOwn must be granted M, got %s"
-                                % response.state)
+        if granted is not None and response.state != granted:
+            raise ProtocolError("%s must be granted %s, got %s"
+                                % (request.name, granted, response.state))
         return response

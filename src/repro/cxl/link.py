@@ -23,6 +23,9 @@ class CxlLink:
         self._clock = clock
         self._h2d = BandwidthLimiter(name + ".h2d", clock, bytes_per_second)
         self._d2h = BandwidthLimiter(name + ".d2h", clock, bytes_per_second)
+        # Bound once: every hop queues on one of the two limiters.
+        self._h2d_submit = self._h2d.submit
+        self._d2h_submit = self._d2h.submit
         #: Optional :class:`~repro.sanitizer.base.Tracer`: each hop emits
         #: a "link" span (queueing delay included) when one is attached.
         self.tracer = None
@@ -51,7 +54,7 @@ class CxlLink:
         wire_bytes = message.wire_bytes
         self._c_h2d_messages.value += 1
         self._c_h2d_bytes.value += wire_bytes
-        latency = self.one_way_ns + self._h2d.submit(wire_bytes)
+        latency = self.one_way_ns + self._h2d_submit(wire_bytes)
         tracer = self.tracer
         if tracer is not None:
             tracer.on_span("link", "h2d", self._clock.now_ns, latency,
@@ -64,7 +67,7 @@ class CxlLink:
         wire_bytes = message.wire_bytes
         self._c_d2h_messages.value += 1
         self._c_d2h_bytes.value += wire_bytes
-        latency = self.one_way_ns + self._d2h.submit(wire_bytes)
+        latency = self.one_way_ns + self._d2h_submit(wire_bytes)
         tracer = self.tracer
         if tracer is not None:
             tracer.on_span("link", "d2h", self._clock.now_ns, latency,

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ProtocolError
-from repro.util.bitops import is_aligned
 from repro.util.constants import CACHE_LINE_SIZE
 
 #: Bytes on the wire for an address-only message (header + addr + CRC).
@@ -39,11 +38,15 @@ HEADER_BYTES = 16
 #: Bytes on the wire for a message carrying one line of data.
 DATA_BYTES = HEADER_BYTES + CACHE_LINE_SIZE
 
+#: Offset-within-line mask. A message is built on every device
+#: transaction, so each ``__post_init__`` tests ``addr & _LINE_MASK``
+#: inline and calls :func:`_reject_unaligned` only for a bad address.
+_LINE_MASK = CACHE_LINE_SIZE - 1
 
-def _check_line_addr(addr):
-    if not is_aligned(addr, CACHE_LINE_SIZE):
-        raise ProtocolError("CXL messages are line-granular; 0x%x is not "
-                            "64-byte aligned" % addr)
+
+def _reject_unaligned(addr):
+    raise ProtocolError("CXL messages are line-granular; 0x%x is not "
+                        "64-byte aligned" % addr)
 
 
 class Message:
@@ -66,7 +69,8 @@ class RdShared(Message):
     addr: int
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -77,7 +81,8 @@ class RdOwn(Message):
     need_data: bool = True
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -89,7 +94,8 @@ class DirtyEvict(Message):
     wire_bytes = DATA_BYTES
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
         self.data = bytes(self.data)
         if len(self.data) != CACHE_LINE_SIZE:
             raise ProtocolError("DirtyEvict carries exactly one line")
@@ -102,7 +108,8 @@ class CleanEvict(Message):
     addr: int
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -117,7 +124,8 @@ class MemRd(Message):
     addr: int
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -129,7 +137,8 @@ class MemWr(Message):
     wire_bytes = DATA_BYTES
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
         self.data = bytes(self.data)
         if len(self.data) != CACHE_LINE_SIZE:
             raise ProtocolError("MemWr carries exactly one line")
@@ -147,7 +156,8 @@ class DataResponse(Message):
     wire_bytes = DATA_BYTES
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
         self.data = bytes(self.data)
         if len(self.data) != CACHE_LINE_SIZE:
             raise ProtocolError("DataResponse carries exactly one line")
@@ -163,7 +173,8 @@ class Go(Message):
     state: Optional[str] = None
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -173,7 +184,8 @@ class SnpData(Message):
     addr: int
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -183,7 +195,8 @@ class SnpInv(Message):
     addr: int
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
 
 
 @dataclass
@@ -194,7 +207,8 @@ class SnpResponse(Message):
     data: Optional[bytes] = None
 
     def __post_init__(self):
-        _check_line_addr(self.addr)
+        if self.addr & _LINE_MASK:
+            _reject_unaligned(self.addr)
         if self.data is not None:
             self.data = bytes(self.data)
             if len(self.data) != CACHE_LINE_SIZE:

@@ -25,15 +25,22 @@ class DevicePort:
         self.stats = StatGroup("device_port")
         # Per-transaction counter bound once (hot-path-stat-lookup rule).
         self._c_transactions = self.stats.counter("transactions")
+        # Callees bound once: the link, device and adapter live as long
+        # as the port, and none of them refers back to it.
+        self._to_cxl = self.adapter.to_cxl
+        self._check_response = self.adapter.check_response
+        self._send_h2d = link.send_h2d
+        self._send_d2h = link.send_d2h
+        self._handle_message = device.handle_message
 
     def _transact(self, op, addr, data=None):
-        request = self.adapter.to_cxl(op, addr, data)
-        latency = self.link.send_h2d(request)
-        response, service_ns = self.device.handle_message(request)
-        self.adapter.check_response(request, response)
+        request = self._to_cxl(op, addr, data)
+        latency = self._send_h2d(request)
+        response, service_ns = self._handle_message(request)
+        self._check_response(request, response)
         latency += service_ns
-        latency += self.link.send_d2h(response)
-        self._c_transactions.add(1)
+        latency += self._send_d2h(response)
+        self._c_transactions.value += 1
         return response, latency
 
     def read_shared(self, addr):
@@ -105,6 +112,11 @@ class HostSnoopPort:
         self._c_snp_data = self.stats.counter("snp_data")
         self._c_dirty_pulls = self.stats.counter("dirty_pulls")
         self._c_snp_inv = self.stats.counter("snp_inv")
+        # Callees of the per-line persist snoop bound once (the hierarchy
+        # and link never refer back to the port).
+        self._send_h2d = link.send_h2d
+        self._send_d2h = link.send_d2h
+        self._snoop_shared = hierarchy.snoop_shared
 
     def snoop_shared(self, addr):
         """Issue SnpData; returns ``(data_or_None, latency_ns)``.
@@ -113,13 +125,13 @@ class HostSnoopPort:
         dirty, else None (the device's own copy is current).
         """
         request = msg.SnpData(addr)
-        latency = self.link.send_d2h(request)
-        fresh = self.hierarchy.snoop_shared(addr)
+        latency = self._send_d2h(request)
+        fresh = self._snoop_shared(addr)
         response = msg.SnpResponse(addr, fresh)
-        latency += self.link.send_h2d(response)
-        self._c_snp_data.add(1)
+        latency += self._send_h2d(response)
+        self._c_snp_data.value += 1
         if fresh is not None:
-            self._c_dirty_pulls.add(1)
+            self._c_dirty_pulls.value += 1
         return fresh, latency
 
     def snoop_invalidate(self, addr):

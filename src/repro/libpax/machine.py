@@ -59,7 +59,8 @@ class CpuAccessor(MemoryAccessor):
 
     def read(self, addr, length):
         machine = self._machine
-        machine.check_alive()
+        if machine.crashed:
+            machine.check_alive()
         return machine.hierarchy.load(self._core, addr + HEAP_PHYS_BASE,
                                       length)
 
@@ -230,7 +231,7 @@ class PaxMachine(_BaseMachine):
             home = PaxHome(self.port)
         self.hierarchy.add_home(HEAP_PHYS_BASE, self.pool.data_size, home)
         self._tick = self.device.background_tick
-        self.clock.on_advance(self._tick)
+        self.device.attach_clock(self.clock)
 
     def _propagate_tracer(self):
         super()._propagate_tracer()

@@ -91,8 +91,8 @@ _HOT_PATH_METHODS = {
         "_transact", "read_line", "write_line", "snoop_shared",
         "snoop_invalidate"}),
     "core/device.py": frozenset({
-        "handle_message", "background_tick", "_rd_shared", "_rd_own",
-        "_dirty_evict", "_clean_evict", "_mem_rd", "_mem_wr",
+        "handle_message", "background_tick", "wake", "_rd_shared",
+        "_rd_own", "_dirty_evict", "_clean_evict", "_mem_rd", "_mem_wr",
         "_lookup_line"}),
     "core/undo.py": frozenset({
         "note_modification", "drain_one", "drain_budget"}),

@@ -26,6 +26,8 @@ per-access path stays the executable spec (docs/performance.md).
 from repro.cache.coherence import DirectoryEntry
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import CacheLine
+from repro.core.config import CREDIT_LOW as _CREDIT_LOW
+from repro.core.config import CREDIT_SAT as _CREDIT_SAT
 from repro.core.hbm import HbmCache
 from repro.cxl.adapter import BusOp
 from repro.cxl.link import CxlLink
@@ -54,28 +56,6 @@ _PAYLOAD_KINDS = fmt.PAYLOAD_KINDS
 #: Below this many buffered samples the plain record() loop beats numpy
 #: call overhead; above it the vectorized settle wins by ~10x.
 _NP_SETTLE_MIN = 256
-
-#: Drain-credit saturation window (bytes). Credits accrue at ~2 GB/s of
-#: simulated time with no cap. Once both credits exceed _CREDIT_SAT the
-#: fast loop stops mirroring the per-event accrual arithmetic and accrues
-#: lazily from an anchor instead (the saturated lane).
-#:
-#: What the floor protects: every drain decision the loop makes while
-#: saturated (``credit >= ENTRY_SIZE`` for the log, ``>= 64`` for the
-#: write-back buffer) must come out as it would under eager accrual. An
-#: event deposits at most one 96 B log record and one 64 B line, so a
-#: credit that starts the event at or above _CREDIT_LOW (4 KiB) ends it
-#: far above either threshold, whichever accrual order produced it; the
-#: two orders differ by float rounding, well under a byte. Drain timing,
-#: hence every counter and sim_ns, is unchanged. The credits themselves
-#: are scratch accounting, not part of the observable machine state. If
-#: a credit sinks below _CREDIT_LOW the loop returns to exact per-event
-#: accrual; the 16x gap to _CREDIT_SAT keeps it from flapping. The floor
-#: is sized by that invariant, not by the run: a replay lasting a few
-#: simulated ms banks only a few MB of credit, so a floor in the MB range
-#: would never let the lane engage.
-_CREDIT_SAT = float(1 << 16)
-_CREDIT_LOW = float(1 << 12)
 
 
 class ReplayResult:
@@ -197,9 +177,11 @@ def fast_eligible(backend):
         return False
     if device.undo.tracer is not None:
         return False
-    # Exactly the device's background tick on the clock: a foreign
-    # callback would observe (and depend on) every advance.
-    if machine.clock._callbacks != [machine._tick]:
+    # Exactly the device's background tick on the clock (nothing while
+    # the tick is dormant): a foreign callback would observe (and depend
+    # on) every advance.
+    if machine.clock._callbacks != (() if device.dormant
+                                    else (machine._tick,)):
         return False
     return True
 
@@ -512,7 +494,11 @@ def _replay_fast(trace, backend, stopwatch):
     pm_read = pool.device.read
 
     # Floating-point mirrors settled back into the objects whenever the
-    # fast loop hands control to the per-access path.
+    # fast loop hands control to the per-access path. A dormant device
+    # tick settles its lazily accrued credit first; the loop then runs
+    # the tick's work itself until it delegates (see resync).
+    if device.dormant:
+        device.wake()
     now = clock._now_ns
     undo_credit = undo._drain_credit
     wb_credit = wb._drain_credit
@@ -678,6 +664,8 @@ def _replay_fast(trace, backend, stopwatch):
     def resync():
         nonlocal now, undo_credit, wb_credit, credits_live
         nonlocal h2d_backlog, h2d_last, d2h_backlog, d2h_last
+        if device.dormant:
+            device.wake()
         now = clock._now_ns
         undo_credit = undo._drain_credit
         wb_credit = wb._drain_credit
@@ -1101,7 +1089,7 @@ def _replay_fast(trace, backend, stopwatch):
             # _charge + clock.advance + background_tick, inlined. latency
             # >= l1_ns > 0, so the advance always fires the tick. While
             # saturated (credits_live False) the credit accrual runs
-            # lazily from the anchors — see _CREDIT_SAT.
+            # lazily from the anchors — see repro.core.config.CREDIT_SAT.
             abuf_append(latency)
             if credits_live:
                 new_now = now + latency

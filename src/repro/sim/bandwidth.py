@@ -84,9 +84,19 @@ class BandwidthLimiter:
         """Queue a transfer; return queueing delay in nanoseconds."""
         if num_bytes < 0:
             raise SimulationError("cannot transfer negative bytes")
-        self._drain()
-        delay_ns = self._backlog_bytes * 1e9 / self._rate
-        self._backlog_bytes += num_bytes
+        # _drain() inlined, with the same float operations in the same
+        # order: this runs on every link hop. The clock is read through
+        # its attribute (same package), not the now_ns property.
+        now = self._clock._now_ns
+        backlog = self._backlog_bytes
+        elapsed_ns = now - self._last_ns
+        if elapsed_ns > 0:
+            backlog -= self._rate * elapsed_ns / 1e9
+            if not backlog > 0.0:
+                backlog = 0.0
+            self._last_ns = now
+        delay_ns = backlog * 1e9 / self._rate
+        self._backlog_bytes = backlog + num_bytes
         self._c_bytes.value += num_bytes
         self._c_transfers.value += 1
         if delay_ns > 0:

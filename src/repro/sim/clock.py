@@ -18,13 +18,19 @@ class SimClock:
     ``(previous_ns, now_ns)`` and performs whatever background work fits in
     that interval. That is how "the device logs asynchronously while the
     CPU keeps running" is modelled without real threads.
+
+    The callback list is a tuple, rebuilt (never mutated) by
+    :meth:`on_advance` and :meth:`remove_callback`: a callback that
+    registers or removes callbacks mid-advance changes the list for the
+    *next* advance, while the current one still runs every callback that
+    was registered when it began.
     """
 
     def __init__(self, start_ns=0):
         if start_ns < 0:
             raise ConfigError("clock cannot start before time zero")
         self._now_ns = start_ns
-        self._callbacks = []
+        self._callbacks = ()
         self._in_callback = False
 
     @property
@@ -55,12 +61,14 @@ class SimClock:
 
     def on_advance(self, callback):
         """Register ``callback(prev_ns, now_ns)`` to run on every advance."""
-        self._callbacks.append(callback)
+        self._callbacks = self._callbacks + (callback,)
 
     def remove_callback(self, callback):
         """Unregister a previously registered callback (no-op if absent)."""
-        if callback in self._callbacks:
-            self._callbacks.remove(callback)
+        callbacks = list(self._callbacks)
+        if callback in callbacks:
+            callbacks.remove(callback)
+            self._callbacks = tuple(callbacks)
 
     def __repr__(self):
         return "SimClock(now=%d ns)" % self._now_ns

@@ -133,11 +133,17 @@ class TestSpeedup:
         # Warm-up replay amortizes the one-time column decode, matching
         # perfbench's record-once-replay-many shape.
         replay_trace(trace, build_backend("pax"))
-        access_wall = min(drive(build_backend("pax")) for _ in range(2))
-        replay_wall = min(
-            replay_trace(trace, build_backend("pax"),
-                         stopwatch=time.perf_counter).wall_s_timed
-            for _ in range(2))
+        # Interleaved runs, best of three each: a burst of load on a
+        # shared host lands on both engines rather than on one of them.
+        access_walls = []
+        replay_walls = []
+        for _ in range(3):
+            access_walls.append(drive(build_backend("pax")))
+            replay_walls.append(replay_trace(
+                trace, build_backend("pax"),
+                stopwatch=time.perf_counter).wall_s_timed)
+        access_wall = min(access_walls)
+        replay_wall = min(replay_walls)
         assert replay_wall < access_wall / 3.0, (
             "replay %.3fs vs per-access %.3fs: below the 3x floor"
             % (replay_wall, access_wall))

@@ -52,6 +52,37 @@ class TestSimClock:
         clock.advance(1)
         assert seen == [1]
 
+    def test_callback_removing_itself_does_not_skip_the_next(self):
+        clock = SimClock()
+        seen = []
+
+        def once(prev, now):
+            seen.append(("once", now))
+            clock.remove_callback(once)
+
+        clock.on_advance(once)
+        clock.on_advance(lambda prev, now: seen.append(("every", now)))
+        clock.advance(1)
+        clock.advance(1)
+        assert seen == [("once", 1), ("every", 1), ("every", 2)]
+
+    def test_callback_registered_mid_advance_runs_from_the_next(self):
+        clock = SimClock()
+        seen = []
+
+        def late(prev, now):
+            seen.append(("late", now))
+
+        def registrar(prev, now):
+            seen.append(("registrar", now))
+            if now == 1:
+                clock.on_advance(late)
+
+        clock.on_advance(registrar)
+        clock.advance(1)
+        clock.advance(1)
+        assert seen == [("registrar", 1), ("registrar", 2), ("late", 2)]
+
     def test_reentrant_advance_inside_callback_does_not_recurse(self):
         clock = SimClock()
         calls = []
