@@ -5,7 +5,8 @@ PYTHON ?= python
 .PHONY: install test bench examples quicktest lint staticcheck \
 	staticcheck-interproc fuzz fuzz-smoke perfbench perfbench-pr8 \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
-	sweep sweep-smoke layerbench-test layerbench-smoke layerbench-ab clean
+	sweep sweep-smoke layerbench-test layerbench-smoke layerbench-trace-smoke \
+	layerbench-ab clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -134,12 +135,17 @@ sweep-smoke:
 # The repository benchmark (layerbench/README.md, BENCHMARK.json):
 # `layerbench-test` runs its own unit tests, `layerbench-smoke` runs all
 # three workloads for 0.5 s each with the correctness gate on, and fails
-# on any wrong result or failed operation.
+# on any wrong result or failed operation. `layerbench-trace-smoke` adds
+# the traced pass, which also fails when its simulated results differ
+# from the untraced run's.
 layerbench-test:
 	$(PYTHON) -m pytest -q layerbench/test_layerbench.py
 
 layerbench-smoke:
 	$(PYTHON) layerbench/run.py --workload all --seconds 0.5 --trace 0
+
+layerbench-trace-smoke:
+	$(PYTHON) layerbench/run.py --workload all --seconds 0.5 --trace 1
 
 # A/B against a git ref (benchmarks/layerbench_ab.py): exports REF with
 # git archive into a temporary directory, alternates base and change runs

@@ -20,24 +20,33 @@ from repro.libpax.allocator import PmAllocator
 from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
 from repro.mem.accessor import MemoryAccessor
 from repro.pm.flush import FlushModel
-from repro.util.bitops import split_lines
+from repro.util.bitops import lines_covering
 from repro.util.constants import CACHE_LINE_SIZE
+from repro.util.fastpath import fast_path_enabled
+
+#: Offset-within-line mask for the single-line store test.
+_LINE_MASK = CACHE_LINE_SIZE - 1
 
 
 class UndoTxAccessor(MemoryAccessor):
     """Interposes on stores: first touch of a line logs its old value.
 
     This is the hand-instrumented code path PMDK requires — the thing the
-    paper's black-box property removes.
+    paper's black-box property removes. Loads pass through untouched, so
+    ``read`` and ``read_u64`` are the inner accessor's own bound methods,
+    with no frame of this class in between.
     """
 
     def __init__(self, inner, wal, space):
         self._inner = inner
+        self.read = inner.read
+        self.read_u64 = inner.read_u64
         self._wal = wal
         self._space = space
         self._tx_id = None
         self._logged = set()
         self._dirty = set()
+        self._fast = fast_path_enabled()
         #: Optional tracer told about transaction boundaries.
         self.tracer = None
 
@@ -73,13 +82,17 @@ class UndoTxAccessor(MemoryAccessor):
 
     # -- data path -----------------------------------------------------------
 
-    def read(self, addr, length):
-        return self._inner.read(addr, length)
-
     def write(self, addr, data):
         data = bytes(data)
         if self._tx_id is not None:
-            for line, _off, _len in split_lines(addr, len(data)):
+            size = len(data)
+            line = addr & ~_LINE_MASK
+            if (self._fast and size
+                    and (addr + size - 1) & ~_LINE_MASK == line):
+                lines = (line,)     # single-line store: no line walk
+            else:
+                lines = lines_covering(addr, size)
+            for line in lines:
                 if line not in self._logged:
                     # TX_ADD: snapshot the old line straight from PM —
                     # reading via the caches could see this transaction's

@@ -62,7 +62,11 @@ class Directory:
             return
         entry = self._entries.get(line_addr)
         if entry is None:
+            # A fresh entry: no core holds the line, so no holder check
+            # below could fire.
             entry = self._entries[line_addr] = DirectoryEntry()
+            entry.states[core] = state
+            return
         states = entry.states
         if state in MesiState.WRITABLE:
             # Any holder besides ``core`` blocks an M/E grant.

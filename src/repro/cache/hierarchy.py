@@ -94,6 +94,8 @@ class CacheHierarchy:
                                      label_prefix="host.mech")
         from repro.cache.coherence import Directory
         self._dir = Directory()
+        # Bound once: every miss ends in a directory grant.
+        self._set_state = self._dir.set_state
         # Direct reference to the directory's entry dict: the per-access
         # walk reads coherence state once per event, and going through
         # Directory.state() costs a method call plus a second dict probe.
@@ -267,7 +269,7 @@ class CacheHierarchy:
             if exclusive:
                 # Any LLC copy is older than the stolen M data.
                 self._llc.remove(line_addr)
-            self._c_cross_core.add(1)
+            self._c_cross_core.value += 1
         elif entry is not None:
             # Cache-to-cache forward from a clean sharer: cheaper than a
             # home fetch, and for device-homed lines it spares a device
@@ -281,7 +283,7 @@ class CacheHierarchy:
                     % (sharer, line_addr))
             data = source.snapshot()
             latency += self._cross_core_ns
-            self._c_sharer_forwards.add(1)
+            self._c_sharer_forwards.value += 1
             if exclusive:
                 latency += self._invalidate_sharers(core.core_id, line_addr)
                 # As in _upgrade: a dirty LLC copy is superseded by the
@@ -296,10 +298,14 @@ class CacheHierarchy:
             line = CacheLine(line_addr, data, dirty=False)
         else:
             llc_line = self._llc.lookup(line_addr)
-            home = self.home_for(line_addr)
+            # home_for()'s memo probed inline: it holds every line that
+            # missed before, and the call would cost a frame per miss.
+            home = self._home_map.get(line_addr)
+            if home is None:
+                home = self.home_for(line_addr)
             if llc_line is not None:
                 latency += self._llc_ns
-                self._c_llc_hits.add(1)
+                self._c_llc_hits.value += 1
                 data = llc_line.snapshot()
                 dirty = llc_line.dirty
                 if exclusive:
@@ -329,7 +335,7 @@ class CacheHierarchy:
                 else:
                     data, home_ns = home.acquire(line_addr, exclusive, True)
                     latency += home_ns
-                    self._c_memory_fetches.add(1)
+                    self._c_memory_fetches.value += 1
                     if mech is not None and not exclusive:
                         mech.on_demand_fill(line_addr, data, self._mech_fetch)
                     line = CacheLine(line_addr, data, dirty=False)
@@ -341,13 +347,28 @@ class CacheHierarchy:
                         new_state = MesiState.EXCLUSIVE
                     else:
                         new_state = MesiState.SHARED
-        latency += self._fill_core(core, line)
-        self._dir.set_state(line_addr, core.core_id, new_state)
+        # The fill, in this frame: L2 first (its victim leaves the core),
+        # then L1 — the same line object, as inclusion requires.
+        l2 = core.l2
+        victim = l2.insert(line)
+        if victim is not None:
+            latency += self._evict_from_l2(core, victim)
+        victim = core.l1.insert(line)
+        if victim is not None:
+            # The L1 victim object still lives in L2 (inclusion), so
+            # dropping the L1 pointer loses nothing.
+            if l2.peek(victim.addr) is None:
+                raise ProtocolError(
+                    "L1 victim 0x%x missing from inclusive L2" % victim.addr)
+            self._c_l1_evictions.value += 1
+        self._set_state(line_addr, core.core_id, new_state)
         tracer = self.tracer
         if tracer is not None:
             tracer.on_span("store" if exclusive else "load", "miss",
                            self._clock.now_ns, latency, {"line": line_addr})
-        self._charge(latency)
+        # _charge() inlined, as in _hit_path: every miss returns here.
+        self._record_access(latency)
+        self._advance(latency)
         return line
 
     def _upgrade(self, core_id, line_addr):
@@ -406,16 +427,8 @@ class CacheHierarchy:
 
     # -- fills and evictions ---------------------------------------------------
 
-    def _fill_core(self, core, line):
-        """Insert ``line`` into L2 then L1 (same object), handling victims."""
-        latency = 0.0
-        victim = core.l2.insert(line)
-        if victim is not None:
-            latency += self._evict_from_l2(core, victim)
-        self._fill_l1(core, line)
-        return latency
-
     def _fill_l1(self, core, line):
+        """Refill L1 from an L2 hit (a miss fills both in _miss_path)."""
         victim = core.l1.insert(line)
         if victim is not None and victim.addr != line.addr:
             # The victim object still lives in L2 (inclusion), so dropping
@@ -429,7 +442,7 @@ class CacheHierarchy:
         """An L2 victim leaves the core entirely (back-invalidates L1)."""
         core.l1.remove(victim.addr)
         self._dir.drop(victim.addr, core.core_id)
-        self._c_l2_evictions.add(1)
+        self._c_l2_evictions.value += 1
         if victim.dirty:
             # The victim object has left the core (L1 dropped it above),
             # so the LLC can take it as is.

@@ -59,7 +59,7 @@ _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set)
 _HOT_PATH_METHODS = {
     "cache/hierarchy.py": frozenset({
         "load", "store", "_access_line", "_hit_path", "_miss_path",
-        "_charge", "_fill_core", "_fill_l1", "_evict_from_l2",
+        "_charge", "_fill_l1", "_evict_from_l2",
         "_insert_llc", "_upgrade", "_invalidate_sharers",
         "_pull_from_core", "snoop_shared", "snoop_invalidate"}),
     "cache/cache.py": frozenset({"lookup", "peek", "insert", "remove"}),
@@ -75,6 +75,9 @@ _HOT_PATH_METHODS = {
         "invalidate"}),
     "cache/homes.py": frozenset({"acquire", "writeback"}),
     "mem/physical.py": frozenset({"read", "write"}),
+    # Every host-homed line fill and write-back, WAL append and commit-
+    # cell write is routed here.
+    "mem/address_space.py": frozenset({"read", "write"}),
     "mem/layout.py": frozenset({"get", "set"}),
     "pm/device.py": frozenset({"write"}),
     "pm/log.py": frozenset({"append"}),
@@ -82,6 +85,8 @@ _HOT_PATH_METHODS = {
     # store (or first-touch page fault, for mprotect).
     "pm/flush.py": frozenset({"clwb", "sfence"}),
     "baselines/wal.py": frozenset({"append", "reset"}),
+    "baselines/pmdk.py": frozenset({"write"}),
+    "baselines/hybrid.py": frozenset({"read", "write"}),
     "baselines/mprotect.py": frozenset({"append"}),
     "sim/bandwidth.py": frozenset({"record", "submit"}),
     "sim/clock.py": frozenset({"advance"}),

@@ -42,12 +42,24 @@ class Mapping:
 
 
 class AddressSpace:
-    """Routes physical addresses to devices."""
+    """Routes physical addresses to devices.
+
+    :meth:`read` and :meth:`write` remember the last mapping
+    :meth:`resolve` returned. An access wholly inside it goes straight to
+    its device; any other access goes through :meth:`resolve`, which
+    raises exactly as before. Mappings never move and are never removed,
+    so the memo cannot go stale.
+    """
 
     def __init__(self, name="system"):
         self.name = name
         self._mappings = []      # sorted by base
         self._bases = []         # parallel list of bases for bisect
+        # The remembered mapping: [base, end) -> device. The empty range
+        # [0, 0) matches no access until the first resolve.
+        self._last_base = 0
+        self._last_end = 0
+        self._last_device = None
 
     def map_device(self, base, device):
         """Map ``device`` at physical ``base``; returns the :class:`Mapping`."""
@@ -83,16 +95,33 @@ class AddressSpace:
         mapping, _off = self.resolve(addr)
         return mapping.device
 
+    def _remember(self, addr, length):
+        """:meth:`resolve`, keeping the mapping for the next access."""
+        mapping, offset = self.resolve(addr, length)
+        self._last_base = mapping.base
+        self._last_end = mapping.base + mapping.size
+        self._last_device = mapping.device
+        return mapping.device, offset
+
     def read(self, addr, length):
         """Read ``length`` bytes at physical ``addr``."""
-        mapping, offset = self.resolve(addr, length)
-        return mapping.device.read(offset, length)
+        base = self._last_base
+        if 0 < length and base <= addr and addr + length <= self._last_end:
+            return self._last_device.read(addr - base, length)
+        device, offset = self._remember(addr, length)
+        return device.read(offset, length)
 
     def write(self, addr, data):
         """Write ``data`` at physical ``addr``."""
         data = bytes(data)
-        mapping, offset = self.resolve(addr, max(1, len(data)))
-        mapping.device.write(offset, data)
+        # A zero-length write still needs its address mapped.
+        length = len(data) or 1
+        base = self._last_base
+        if base <= addr and addr + length <= self._last_end:
+            self._last_device.write(addr - base, data)
+            return
+        device, offset = self._remember(addr, length)
+        device.write(offset, data)
 
     def mappings(self):
         """Return the mappings in address order."""

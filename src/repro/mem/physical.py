@@ -35,6 +35,11 @@ class MemoryDevice:
         self._c_bytes_written = self.stats.counter("bytes_written")
 
     def _check_range(self, offset, length):
+        """Raise :class:`AddressError` unless the access fits the device.
+
+        :meth:`read` and :meth:`write` test the range inline first and
+        call this only for an access that does not fit.
+        """
         if length < 0:
             raise AddressError("negative access length %d on %s" % (length, self.name))
         if offset < 0 or offset + length > self.size:
@@ -44,7 +49,8 @@ class MemoryDevice:
 
     def read(self, offset, length):
         """Return ``length`` bytes starting at device-relative ``offset``."""
-        self._check_range(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.size:
+            self._check_range(offset, length)
         self._c_reads.value += 1
         self._c_bytes_read.value += length
         return bytes(self._data[offset:offset + length])
@@ -53,7 +59,8 @@ class MemoryDevice:
         """Store ``data`` at device-relative ``offset``."""
         data = bytes(data)
         size = len(data)
-        self._check_range(offset, size)
+        if offset < 0 or offset + size > self.size:
+            self._check_range(offset, size)
         self._c_writes.value += 1
         self._c_bytes_written.value += size
         self._data[offset:offset + size] = data

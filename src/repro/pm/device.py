@@ -65,7 +65,7 @@ class PmDevice(MemoryDevice):
                 last = (offset + size - 1) & ~_LINE_MASK
                 wear = self.line_wear
                 if first == last:
-                    self._c_lines_written.add(1)
+                    self._c_lines_written.value += 1
                     wear[first] += 1
                 else:
                     self._c_lines_written.add(

@@ -1035,7 +1035,7 @@ def _replay_fast(trace, backend, stopwatch):
                             latency += home_ns
                             n_memf += 1
                             line = CacheLine(line_addr, data)
-                        # _fill_core: L2 insert (victim chain), then L1
+                        # _miss_path fill: L2 insert (victim chain), then L1
                         if len(bucket2) >= l2_ways:
                             victim2 = bucket2.popitem(last=False)[1]
                             n_l2e += 1

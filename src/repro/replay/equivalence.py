@@ -132,8 +132,9 @@ def fingerprint(backend):
             for name, hist in obj.histograms().items():
                 out["%s:%s" % (path, name)] = _histogram_state(hist)
         else:   # MemoryDevice: durable bytes + media wear
-            out["%s:sha256" % path] = hashlib.sha256(
-                bytes(obj._data)).hexdigest()
+            # Hashed in place: a bytes() copy of a multi-MiB pool would
+            # briefly double its footprint.
+            out["%s:sha256" % path] = hashlib.sha256(obj._data).hexdigest()
             wear = getattr(obj, "line_wear", None)
             if wear is not None:
                 out["%s:line_wear" % path] = tuple(sorted(wear.items()))
@@ -150,10 +151,11 @@ def fingerprint(backend):
         out["wb:buffer"] = tuple(
             (addr, entry.seq, entry.data)
             for addr, entry in device.writeback._buffer.items())
-        out["hbm:lines"] = hashlib.sha256(
-            b"".join(b"%x:" % addr + data
-                     for addr, data in device.hbm._lines.items())
-        ).hexdigest()
+        hbm_digest = hashlib.sha256()
+        for addr, data in device.hbm._lines.items():
+            hbm_digest.update(b"%x:" % addr)
+            hbm_digest.update(data)
+        out["hbm:lines"] = hbm_digest.hexdigest()
     hier = machine.hierarchy
     out["dir:entries"] = tuple(
         sorted((addr, tuple(sorted(entry.states.items())))

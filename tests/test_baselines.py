@@ -3,7 +3,10 @@
 import pytest
 
 from repro.baselines import make_backend
+from repro.baselines.compiler_pass import PerStoreTxAccessor
+from repro.baselines.pmdk import UndoTxAccessor
 from repro.errors import ConfigError
+from repro.mem.accessor import MemoryAccessor
 from tests.conftest import small_cache_kwargs
 
 ALL_BACKENDS = ["dram", "pm_direct", "pmdk", "redo", "compiler",
@@ -142,3 +145,34 @@ class TestSchemeSpecific:
         for key in range(200):        # forces several resizes
             backend.put(key, key)
         assert backend.to_dict() == {key: key for key in range(200)}
+
+
+class _RecordingAccessor(MemoryAccessor):
+    """Serves reads from a fixed pattern and records each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def read(self, addr, length):
+        self.calls.append((addr, length))
+        return bytes((addr + i) & 0xFF for i in range(length))
+
+    def write(self, addr, data):
+        raise AssertionError("no store expected")
+
+
+@pytest.mark.parametrize("make_tx", [
+    lambda inner: UndoTxAccessor(inner, None, None),
+    lambda inner: PerStoreTxAccessor(inner, None, None, None, None),
+], ids=["pmdk", "compiler"])
+def test_tx_accessor_reads_reach_inner(make_tx):
+    # The WAL accessors interpose on stores only; every load, typed or
+    # raw, is the inner accessor's own.
+    inner = _RecordingAccessor()
+    tx = make_tx(inner)
+    assert tx.read(0x40, 3) == bytes([0x40, 0x41, 0x42])
+    assert tx.read_u64(0x80) == int.from_bytes(bytes(range(0x80, 0x88)),
+                                               "little")
+    assert tx.read_u32(0x10) == int.from_bytes(bytes(range(0x10, 0x14)),
+                                               "little")
+    assert inner.calls == [(0x40, 3), (0x80, 8), (0x10, 4)]

@@ -1,19 +1,26 @@
 """Golden equivalence for the hot-path optimizations.
 
-The cache hierarchy and the PM device carry single-line fast paths that
-bypass the generic ``split_lines``/``lines_covering`` walk, plus bound
-counters and inlined accounting (docs/performance.md). Setting
-``REPRO_SLOW_PATH=1`` before construction forces the generic code.  These
-tests run the *same* mixed workload — loads, stores, persists, a crash,
-recovery — under both settings and require byte-identical observable
-behaviour: every stat snapshot, the simulated clock, the wear profile,
-and the recovered pool contents.  Any divergence means an optimization
-changed simulated behaviour, not just wall-clock speed.
+The cache hierarchy, the PM device, the PMDK-style undo accessor and the
+CLWB cost model carry single-line fast paths that bypass the generic
+``split_lines``/``lines_covering`` walk, plus bound counters and inlined
+accounting (docs/performance.md). Setting ``REPRO_SLOW_PATH=1`` before
+construction forces the generic code.  These tests run the *same* mixed
+workload — loads, stores, persists, a crash, recovery — under both
+settings and require byte-identical observable behaviour: every stat
+snapshot, the simulated clock, the wear profile, and the recovered pool
+contents.  Any divergence means an optimization changed simulated
+behaviour, not just wall-clock speed.
 """
 
+import pytest
+
+from repro.baselines.compiler_pass import CompilerPassBackend
 from repro.baselines.pax import PaxBackend
+from repro.baselines.pmdk import PmdkBackend
+from repro.crashtest.injector import CrashInjector
 from repro.libpax.machine import HostMachine
 from repro.pm.device import PmDevice
+from repro.replay.equivalence import diff, fingerprint
 from repro.util.fastpath import SLOW_PATH_ENV, fast_path_enabled
 from repro.util.stats import StatGroup
 
@@ -160,4 +167,59 @@ def test_pm_device_fast_and_slow_paths_match(monkeypatch):
     fast = _pm_device_fingerprint()
     monkeypatch.setenv(SLOW_PATH_ENV, "1")
     slow = _pm_device_fingerprint()
+    assert fast == slow
+
+
+def _drive_wal(backend):
+    """Puts, gets, removes, a line-straddling store, and a torn tx."""
+    for i in range(60):
+        backend.put(i, i * 5 + 3)
+        if i % 5 == 0:
+            backend.get(i)
+    for i in range(0, 30, 4):
+        backend.remove(i)
+
+    def straddle():
+        # 100 bytes from offset 40 of a fresh block cross two line
+        # boundaries: the single-line fast paths must hand this store to
+        # the generic walk.
+        block = backend._alloc.alloc(192)
+        backend._tx.write(block + 40, bytes(range(100)))
+        return block
+
+    block = backend._run_tx(straddle)
+    # Power loss three stores into a put: restart rolls the WAL back.
+    injector = CrashInjector(backend.machine)
+    injector.arm(3)
+    assert injector.run(lambda: backend.put(500, 1))
+    rolled_back = backend.restart()
+    for i in range(60, 72):
+        backend.put(i, i ^ 0x3C)
+    return block, rolled_back
+
+
+def _wal_fingerprint(factory):
+    backend = factory(heap_size=1024 * 1024, capacity=64,
+                      **small_cache_kwargs())
+    block, rolled_back = _drive_wal(backend)
+    return {
+        "block": bytes(backend._tx.read(block + 40, 100)),
+        "rolled_back": rolled_back,
+        "contents": backend.to_dict(),
+        "wear": backend.machine.memory.wear_profile(),
+        "machine": fingerprint(backend),
+    }
+
+
+@pytest.mark.parametrize("factory", [PmdkBackend, CompilerPassBackend],
+                         ids=["pmdk", "compiler"])
+def test_wal_backend_fast_and_slow_paths_match(monkeypatch, factory):
+    monkeypatch.setenv(SLOW_PATH_ENV, "0")
+    fast = _wal_fingerprint(factory)
+    monkeypatch.setenv(SLOW_PATH_ENV, "1")
+    slow = _wal_fingerprint(factory)
+
+    assert fast["rolled_back"] > 0
+    assert fast["block"] == bytes(range(100))
+    assert diff(slow["machine"], fast["machine"]) == []
     assert fast == slow
