@@ -12,10 +12,12 @@ side, the change in the median, and how many pairs the change won::
     python3 benchmarks/layerbench_ab.py --ref HEAD~1 --workload pax_spill \\
         --pairs 5 --seconds 10
 
-(``make layerbench-ab REF=HEAD~1 WORKLOAD=pax_spill PAIRS=5``.) A claimed
-gain should win most pairs and move the median by more than the base's
-IQR. Exit status: 0 when every run's correctness checks held, 1 when one
-failed, 2 when the ref cannot be exported or has no benchmark.
+(``make layerbench-ab REF=HEAD~1 WORKLOAD=pax_spill PAIRS=5``.) With
+``--workload all`` each run covers every workload, and the comparison
+prints one table per workload. A claimed gain should win most pairs and
+move the median by more than the base's IQR. Exit status: 0 when every
+run's correctness checks held, 1 when one failed, 2 when the ref cannot
+be exported or has no benchmark.
 """
 
 import argparse
@@ -88,6 +90,21 @@ def metric_value(run, name):
     return None if metric is None else metric["value"]
 
 
+def workloads_in(runs):
+    """Sorted workload prefixes of ``--workload all`` metric names
+    (``<workload>.<metric>``) found in ``runs``."""
+    return sorted({name.split(".", 1)[0] for run in runs
+                   for name in run["metrics"] if "." in name})
+
+
+def ops_per_s(run):
+    """Every ``ops_per_s`` value of a result line, as text."""
+    values = ["%s %.6g" % (name, metric["value"])
+              for name, metric in sorted(run["metrics"].items())
+              if name.rsplit(".", 1)[-1] == "ops_per_s"]
+    return ", ".join(values) or "none"
+
+
 def quartiles(values):
     """``(q1, median, q3)`` of ``values``."""
     if len(values) == 1:
@@ -96,13 +113,18 @@ def quartiles(values):
     return q1, median, q3
 
 
-def report(metrics, base_runs, change_runs):
-    """The comparison table, one line per metric."""
+def report(metrics, base_runs, change_runs, workload=None):
+    """The comparison table, one line per metric.
+
+    ``workload`` selects one workload's metrics from ``--workload all``
+    result lines, which name them ``<workload>.<metric>``.
+    """
     lines = ["%-14s %27s %27s %9s %6s" % (
         "metric", "base median [IQR]", "change median [IQR]", "delta",
         "wins")]
     for name, better in metrics:
-        pairs = [(metric_value(base, name), metric_value(change, name))
+        key = name if workload is None else "%s.%s" % (workload, name)
+        pairs = [(metric_value(base, key), metric_value(change, key))
                  for base, change in zip(base_runs, change_runs)]
         pairs = [(base, change) for base, change in pairs
                  if base is not None and change is not None]
@@ -148,14 +170,19 @@ def main(argv=None):
                 order.reverse()
             for tree, runs in order:
                 runs.append(run_once(tree, args))
-            print("pair %d/%d: ops_per_s base %s, change %s" % (
-                pair + 1, args.pairs,
-                metric_value(base_runs[-1], "ops_per_s"),
-                metric_value(change_runs[-1], "ops_per_s")), flush=True)
+            print("pair %d/%d: base %s; change %s" % (
+                pair + 1, args.pairs, ops_per_s(base_runs[-1]),
+                ops_per_s(change_runs[-1])), flush=True)
         print("%s, seed %d, %g s, %d pair(s); base %s" % (
             args.workload, args.seed, args.seconds, args.pairs, args.ref))
-        print("\n".join(report(end_to_end_metrics(ROOT), base_runs,
-                               change_runs)))
+        metrics = end_to_end_metrics(ROOT)
+        workloads = ([None] if args.workload != "all"
+                     else workloads_in(base_runs + change_runs))
+        for workload in workloads:
+            if workload is not None:
+                print("-- %s" % workload)
+            print("\n".join(report(metrics, base_runs, change_runs,
+                                   workload)))
         runs = base_runs + change_runs
         correct = all(run["correct"] and not run["failed"] for run in runs)
         if not correct:

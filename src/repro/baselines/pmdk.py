@@ -22,7 +22,6 @@ from repro.mem.accessor import MemoryAccessor
 from repro.pm.flush import FlushModel
 from repro.util.bitops import lines_covering
 from repro.util.constants import CACHE_LINE_SIZE
-from repro.util.fastpath import fast_path_enabled
 
 #: Offset-within-line mask for the single-line store test.
 _LINE_MASK = CACHE_LINE_SIZE - 1
@@ -46,7 +45,6 @@ class UndoTxAccessor(MemoryAccessor):
         self._tx_id = None
         self._logged = set()
         self._dirty = set()
-        self._fast = fast_path_enabled()
         #: Optional tracer told about transaction boundaries.
         self.tracer = None
 
@@ -87,8 +85,7 @@ class UndoTxAccessor(MemoryAccessor):
         if self._tx_id is not None:
             size = len(data)
             line = addr & ~_LINE_MASK
-            if (self._fast and size
-                    and (addr + size - 1) & ~_LINE_MASK == line):
+            if size and (addr + size - 1) & ~_LINE_MASK == line:
                 lines = (line,)     # single-line store: no line walk
             else:
                 lines = lines_covering(addr, size)

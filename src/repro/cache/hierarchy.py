@@ -32,10 +32,9 @@ from repro.cache.mechanisms import make_mechanisms
 from repro.errors import AddressError, ProtocolError
 from repro.util.bitops import split_lines
 from repro.util.constants import CACHE_LINE_SIZE
-from repro.util.fastpath import fast_path_enabled
 from repro.util.stats import StatGroup
 
-#: Offset-within-line mask, hoisted for the single-line fast path.
+#: Offset-within-line mask, hoisted for the single-line path.
 _LINE_MASK = CACHE_LINE_SIZE - 1
 
 #: MESI states bound to module globals: the per-access walk compares
@@ -140,7 +139,6 @@ class CacheHierarchy:
         # clock charge); both targets are fixed for the hierarchy's life.
         self._record_access = self._h_access_ns.record
         self._advance = clock.advance
-        self._fast = fast_path_enabled()
 
     # -- configuration ------------------------------------------------------
 
@@ -171,12 +169,13 @@ class CacheHierarchy:
     def load(self, core_id, addr, size):
         """Perform a load of ``size`` bytes at ``addr`` from ``core_id``."""
         self._c_loads.value += 1
-        if self._fast and 0 < size:
-            offset = addr & _LINE_MASK
-            if offset + size <= CACHE_LINE_SIZE:
-                # Single-line fast path: no generator, no join buffer.
-                line = self._access_line(core_id, addr - offset, False)
-                return line.read(offset, size)
+        offset = addr & _LINE_MASK
+        if 0 < size and offset + size <= CACHE_LINE_SIZE:
+            # One line: no generator, no join buffer. Anything else
+            # (including a negative size, which split_lines rejects)
+            # takes the line walk.
+            line = self._access_line(core_id, addr - offset, False)
+            return line.read(offset, size)
         out = bytearray()
         for base, offset, length in split_lines(addr, size):
             line = self._access_line(core_id, base, exclusive=False)
@@ -188,15 +187,14 @@ class CacheHierarchy:
         data = bytes(data)
         self._c_stores.value += 1
         size = len(data)
-        if self._fast and 0 < size:
-            offset = addr & _LINE_MASK
-            if offset + size <= CACHE_LINE_SIZE:
-                base = addr - offset
-                line = self._access_line(core_id, base, True)
-                line.write(offset, data)
-                if self.tracer is not None:
-                    self.tracer.on_store(base)
-                return
+        offset = addr & _LINE_MASK
+        if 0 < size and offset + size <= CACHE_LINE_SIZE:
+            base = addr - offset
+            line = self._access_line(core_id, base, True)
+            line.write(offset, data)
+            if self.tracer is not None:
+                self.tracer.on_store(base)
+            return
         cursor = 0
         for base, offset, length in split_lines(addr, size):
             line = self._access_line(core_id, base, exclusive=True)

@@ -17,9 +17,7 @@ import collections
 import os
 
 from repro.mem.physical import MemoryDevice
-from repro.util.bitops import lines_covering
 from repro.util.constants import CACHE_LINE_SIZE
-from repro.util.fastpath import fast_path_enabled
 
 #: Offset-within-line mask for the arithmetic line walk in :meth:`write`.
 _LINE_MASK = CACHE_LINE_SIZE - 1
@@ -44,7 +42,6 @@ class PmDevice(MemoryDevice):
         #: write-back gate check lives behind this hook).
         self.tracer = None
         self._c_lines_written = self.stats.counter("lines_written")
-        self._fast = fast_path_enabled()
         if backing_path is not None and os.path.exists(backing_path):
             self._load()
 
@@ -58,25 +55,19 @@ class PmDevice(MemoryDevice):
         # write-amplification argument is phrased in).
         size = len(data)
         if size:
-            if self._fast:
-                # Arithmetic line walk: same lines as lines_covering()
-                # without building a generator plus list per write.
-                first = offset & ~_LINE_MASK
-                last = (offset + size - 1) & ~_LINE_MASK
-                wear = self.line_wear
-                if first == last:
-                    self._c_lines_written.value += 1
-                    wear[first] += 1
-                else:
-                    self._c_lines_written.add(
-                        ((last - first) // CACHE_LINE_SIZE) + 1)
-                    for line in range(first, last + 1, CACHE_LINE_SIZE):
-                        wear[line] += 1
+            # Arithmetic line walk: the lines lines_covering() names,
+            # without building a generator plus list per write.
+            first = offset & ~_LINE_MASK
+            last = (offset + size - 1) & ~_LINE_MASK
+            wear = self.line_wear
+            if first == last:
+                self._c_lines_written.value += 1
+                wear[first] += 1
             else:
-                touched = lines_covering(offset, size)
-                self._c_lines_written.add(len(touched))
-                for line in touched:
-                    self.line_wear[line] += 1
+                self._c_lines_written.add(
+                    ((last - first) // CACHE_LINE_SIZE) + 1)
+                for line in range(first, last + 1, CACHE_LINE_SIZE):
+                    wear[line] += 1
         super().write(offset, data)
 
     # -- endurance accounting ------------------------------------------------

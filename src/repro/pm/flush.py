@@ -11,7 +11,6 @@ them, so benchmarks can report both time and flush counts.
 
 from repro.util.bitops import lines_covering
 from repro.util.constants import CACHE_LINE_SIZE
-from repro.util.fastpath import fast_path_enabled
 from repro.util.stats import StatGroup
 
 #: Offset-within-line mask for the arithmetic line count in ``clwb``.
@@ -30,7 +29,6 @@ class FlushModel:
         # Per-flush counters bound once (hot-path-stat-lookup rule).
         self._c_clwb_lines = self.stats.counter("clwb_lines")
         self._c_sfences = self.stats.counter("sfences")
-        self._fast = fast_path_enabled()
 
     def clwb(self, addr, length):
         """Write back every cache line covering ``[addr, addr+length)``.
@@ -39,14 +37,12 @@ class FlushModel:
         trailing :meth:`sfence` pays the drain to the ADR domain. Returns
         the cost charged.
         """
-        if self._fast and length > 0:
-            # Arithmetic line count: same as len(lines_covering(...)).
-            count = (((addr + length - 1) & ~_LINE_MASK)
-                     - (addr & ~_LINE_MASK)) // CACHE_LINE_SIZE + 1
-        else:
-            count = len(lines_covering(addr, length))
-            if not count:
-                return 0.0
+        if length <= 0:
+            lines_covering(addr, length)   # AddressError when negative
+            return 0.0
+        # Arithmetic line count: same as len(lines_covering(...)).
+        count = (((addr + length - 1) & ~_LINE_MASK)
+                 - (addr & ~_LINE_MASK)) // CACHE_LINE_SIZE + 1
         cost = count * self._lat.software.clwb_ns
         self._c_clwb_lines.value += count
         if self.tracer is not None:

@@ -9,10 +9,10 @@ Two engines re-execute a recorded trace against a freshly built backend:
   redundant.
 * **fast** — for the single-core PAX shape, a straight-line interpreter
   over the columnar event arrays. One Python loop advances the real
-  cache sets, the device's HBM/undo/write-back state, CXL link
-  bandwidth mirrors and the simulated clock directly, with stat counters
-  bound as locals and access-latency histogram samples buffered for a
-  batched (numpy-accelerated) settle. It reproduces the per-access
+  cache sets and directory, the device's HBM/undo/write-back state, CXL
+  link bandwidth mirrors and the simulated clock directly, with stat
+  counters bound as locals and access-latency histogram samples buffered
+  for a batched (numpy-accelerated) settle. It reproduces the per-access
   path's floating-point arithmetic operation for operation, so
   ``sim_ns``, every stat counter, histogram moments and final pool bytes
   are *byte-identical* — proven by the golden-equivalence tests.
@@ -310,17 +310,18 @@ def _replay_fast(trace, backend, stopwatch):
     """The straight-line single-core PAX interpreter.
 
     One Python loop over the columnar arrays handles single-line loads,
-    stores and marks with every piece of hot state — the real cache
-    sets, directory entries, device HBM/undo mirrors, link bandwidth
-    backlog, the simulated clock — bound as locals, mirroring the exact
-    floating-point operation order of the per-access walk (hierarchy
+    stores and marks. It works on the real cache sets, directory entries,
+    device HBM/undo/write-back state and stat counters, bound as locals,
+    and keeps only three scalar mirrors: the simulated clock, the drain
+    credits and the link backlog. It follows the exact floating-point
+    operation order of the per-access walk (hierarchy
     ``_hit_path``/``_miss_path``, ``DevicePort._transact``,
     ``BandwidthLimiter.submit``, ``PaxDevice`` handlers and
     ``background_tick``). Anything else — multi-line accesses, persists,
     raw space traffic, a non-empty device write-back buffer — settles the
-    scalar mirrors and counters back into the objects and delegates
-    single events to the real seam methods until the device is quiescent
-    again.
+    scalar mirrors and the main loop's batched counters back into the
+    objects and delegates single events to the real seam methods until
+    the device is quiescent again.
 
     The mirrored-state invariant: while the inner loop runs, the device
     write-back buffer is empty and the persist pipeline idle, so the only
@@ -512,24 +513,9 @@ def _replay_fast(trace, backend, stopwatch):
     abuf = []   # deferred access_ns histogram samples, in event order
     abuf_append = abuf.append
 
-    # Flat mirror of the single-core directory (line_addr -> MESI letter):
-    # one dict probe replaces entry lookup + per-entry states dict. Kept
-    # in sync by every transition the fast loop performs; rebuilt from the
-    # real directory whenever a delegated event may have moved lines.
-    states0 = {}
-    states0_get = states0.get
-
-    def rebuild_states0():
-        states0.clear()
-        for line_addr, entry in dir_entries.items():
-            state = entry.states.get(0)
-            if state is not None:
-                states0[line_addr] = state
-
-    rebuild_states0()
-
-    # Hot counters accumulated as local ints and flushed in settle();
-    # integer addition commutes, so batching is exact.
+    # Main-loop counters accumulated as local ints and flushed in
+    # settle(); integer addition commutes, so batching is exact. The
+    # closures below bump their bound Counters directly.
     n_loads = 0
     n_stores = 0
     n_ul = 0     # ultra-lane loads (count once, fan out in settle)
@@ -544,34 +530,8 @@ def _replay_fast(trace, backend, stopwatch):
     n_llcc = 0   # llc hits (both counters)
     n_llcm = 0   # llc cache misses
     n_llci = 0   # llc cache invalidations
-    n_llce = 0   # llc cache evictions
-    n_llcw = 0   # hierarchy llc_writebacks
     n_upg = 0    # hierarchy upgrades
     n_memf = 0   # hierarchy memory_fetches
-    n_h2dm = 0   # link h2d messages
-    n_h2db = 0   # link h2d bytes
-    n_h2dlb = 0  # h2d limiter bytes
-    n_h2dlt = 0  # h2d limiter transfers
-    n_d2hm = 0   # link d2h messages
-    n_d2hb = 0   # link d2h bytes
-    n_d2hlb = 0  # d2h limiter bytes
-    n_d2hlt = 0  # d2h limiter transfers
-    n_rdo = 0    # device rd_own
-    n_rds = 0    # device rd_shared
-    n_logd = 0   # device lines_logged
-    n_bsrv = 0   # device buffer_serves
-    n_hbmh = 0   # hbm hits
-    n_hbmm = 0   # hbm misses
-    n_hbmi = 0   # hbm invalidations
-    n_hbme = 0   # hbm evictions
-    n_pmr = 0    # device pm_line_reads
-    n_dev = 0    # device dirty_evicts
-    n_sev = 0    # device stalled_evicts
-    n_trans = 0  # port transactions
-    n_trrm = 0   # adapter READ_MISS translations
-    n_trwm = 0   # adapter WRITE_MISS translations
-    n_trwu = 0   # adapter WRITE_UPGRADE translations
-    n_tred = 0   # adapter EVICT_DIRTY translations
     # Set by the device closures whenever an event deposits work into
     # `pending` or `wb_buffer`; lets the saturated-mode tick skip both
     # drain checks on the (overwhelmingly common) events that touch
@@ -583,12 +543,7 @@ def _replay_fast(trace, backend, stopwatch):
         nonlocal n_loads, n_stores, n_ul, n_us, n_sat
         nonlocal n_l1c, n_l1m, n_l2c
         nonlocal n_l1e, n_l1i, n_l2e, n_llcc
-        nonlocal n_llcm, n_llci, n_llce, n_llcw, n_upg, n_memf
-        nonlocal n_h2dm, n_h2db, n_h2dlb, n_h2dlt
-        nonlocal n_d2hm, n_d2hb, n_d2hlb, n_d2hlt
-        nonlocal n_rdo, n_rds, n_logd, n_bsrv, n_hbmh, n_hbmm, n_hbmi
-        nonlocal n_hbme, n_pmr, n_dev, n_sev
-        nonlocal n_trans, n_trrm, n_trwm, n_trwu, n_tred
+        nonlocal n_llcm, n_llci, n_upg, n_memf
         nonlocal undo_credit, wb_credit, u_anchor, w_anchor
         if not credits_live:
             undo_credit += log_bps * ((now - u_anchor) / 1e9)
@@ -621,43 +576,12 @@ def _replay_fast(trace, backend, stopwatch):
         c_llc_hits.value += n_llcc
         c_llc_miss.value += n_llcm
         c_llc_inval.value += n_llci
-        c_llc_evic.value += n_llce
-        c_llc_writebacks.value += n_llcw
         c_upgrades.value += n_upg
         c_mem_fetches.value += n_memf
-        c_h2d_msgs.value += n_h2dm
-        c_h2d_bytes.value += n_h2db
-        c_h2d_lim_bytes.value += n_h2dlb
-        c_h2d_lim_transfers.value += n_h2dlt
-        c_d2h_msgs.value += n_d2hm
-        c_d2h_bytes.value += n_d2hb
-        c_d2h_lim_bytes.value += n_d2hlb
-        c_d2h_lim_transfers.value += n_d2hlt
-        c_rd_own.value += n_rdo
-        c_rd_shared.value += n_rds
-        c_lines_logged.value += n_logd
-        c_buffer_serves.value += n_bsrv
-        c_hbm_hits.value += n_hbmh
-        c_hbm_misses.value += n_hbmm
-        c_hbm_invals.value += n_hbmi
-        c_hbm_evics.value += n_hbme
-        c_pm_line_reads.value += n_pmr
-        c_dirty_evicts.value += n_dev
-        c_stalled_evicts.value += n_sev
-        c_transactions.value += n_trans
-        c_tr_read_miss.value += n_trrm
-        c_tr_write_miss.value += n_trwm
-        c_tr_write_upgrade.value += n_trwu
-        c_tr_evict_dirty.value += n_tred
         n_loads = n_stores = n_ul = n_us = 0
         n_l1c = n_l1m = n_l2c = 0
         n_l1e = n_l1i = n_l2e = n_llcc = 0
-        n_llcm = n_llci = n_llce = n_llcw = n_upg = n_memf = 0
-        n_h2dm = n_h2db = n_h2dlb = n_h2dlt = 0
-        n_d2hm = n_d2hb = n_d2hlb = n_d2hlt = 0
-        n_rdo = n_rds = n_logd = n_bsrv = n_hbmh = n_hbmm = n_hbmi = 0
-        n_hbme = n_pmr = n_dev = n_sev = 0
-        n_trans = n_trrm = n_trwm = n_trwu = n_tred = 0
+        n_llcm = n_llci = n_upg = n_memf = 0
         _flush_access_hist(access_hist, abuf)
         del abuf[:]
 
@@ -674,14 +598,13 @@ def _replay_fast(trace, backend, stopwatch):
         h2d_last = h2d._last_ns
         d2h_backlog = d2h._backlog_bytes
         d2h_last = d2h._last_ns
-        rebuild_states0()
 
     # One CXL hop each way, mirroring CxlLink.send_* + BandwidthLimiter
     # .submit against the local clock/backlog mirrors.
     def link_h2d(wire):
-        nonlocal h2d_backlog, h2d_last, n_h2dm, n_h2db, n_h2dlb, n_h2dlt
-        n_h2dm += 1
-        n_h2db += wire
+        nonlocal h2d_backlog, h2d_last
+        c_h2d_msgs.value += 1
+        c_h2d_bytes.value += wire
         elapsed = now - h2d_last
         if elapsed > 0:
             drained = h2d_backlog - h2d_rate * elapsed / 1e9
@@ -689,17 +612,17 @@ def _replay_fast(trace, backend, stopwatch):
             h2d_last = now
         delay = h2d_backlog * 1e9 / h2d_rate
         h2d_backlog += wire
-        n_h2dlb += wire
-        n_h2dlt += 1
+        c_h2d_lim_bytes.value += wire
+        c_h2d_lim_transfers.value += 1
         if delay > 0:
             c_h2d_stalled.value += 1
             h_h2d_delay.record(delay)
         return one_way + delay
 
     def link_d2h(wire):
-        nonlocal d2h_backlog, d2h_last, n_d2hm, n_d2hb, n_d2hlb, n_d2hlt
-        n_d2hm += 1
-        n_d2hb += wire
+        nonlocal d2h_backlog, d2h_last
+        c_d2h_msgs.value += 1
+        c_d2h_bytes.value += wire
         elapsed = now - d2h_last
         if elapsed > 0:
             drained = d2h_backlog - d2h_rate * elapsed / 1e9
@@ -707,8 +630,8 @@ def _replay_fast(trace, backend, stopwatch):
             d2h_last = now
         delay = d2h_backlog * 1e9 / d2h_rate
         d2h_backlog += wire
-        n_d2hlb += wire
-        n_d2hlt += 1
+        c_d2h_lim_bytes.value += wire
+        c_d2h_lim_transfers.value += 1
         if delay > 0:
             c_d2h_stalled.value += 1
             h_d2h_delay.record(delay)
@@ -721,9 +644,8 @@ def _replay_fast(trace, backend, stopwatch):
             raise AddressError(
                 "physical 0x%x is outside this device's vPM range"
                 % line_addr)
-        nonlocal n_rdo, n_logd, n_bsrv, n_hbmh, n_hbmm, n_hbmi, n_pmr, \
-            dev_dirty
-        n_rdo += 1
+        nonlocal dev_dirty
+        c_rd_own.value += 1
         if undo._logged.get(pool_addr) is None:
             entry = wb_buffer.get(pool_addr)
             old = entry.data if entry is not None else None
@@ -732,29 +654,29 @@ def _replay_fast(trace, backend, stopwatch):
             if old is None:
                 old = pm_read(pool_addr, 64)
             note_modification(pool_addr, old)
-            n_logd += 1
+            c_lines_logged.value += 1
             dev_dirty = True
         service = proc_ns
         data = None
         if need_data:
             entry = wb_buffer.get(pool_addr)
             if entry is not None:
-                n_bsrv += 1
+                c_buffer_serves.value += 1
                 data = entry.data
                 service = service + 0.0
             else:
                 data = hbm_lines.get(pool_addr)
                 if data is None:
-                    n_hbmm += 1
+                    c_hbm_misses.value += 1
                     data = pm_read(pool_addr, 64)
-                    n_pmr += 1
+                    c_pm_line_reads.value += 1
                     service = service + pm_read_ns
                 else:
                     hbm_move(pool_addr)
-                    n_hbmh += 1
+                    c_hbm_hits.value += 1
                     service = service + hbm_ns
         if hbm_lines.pop(pool_addr, None) is not None:
-            n_hbmi += 1
+            c_hbm_invals.value += 1
         return data, service
 
     def device_rd_shared(line_addr):
@@ -763,30 +685,29 @@ def _replay_fast(trace, backend, stopwatch):
             raise AddressError(
                 "physical 0x%x is outside this device's vPM range"
                 % line_addr)
-        nonlocal n_rds, n_bsrv, n_hbmh, n_hbmm, n_hbme, n_pmr
         entry = wb_buffer.get(pool_addr)
         if entry is not None:
-            n_bsrv += 1
+            c_buffer_serves.value += 1
             data = entry.data
             media_ns = 0.0
         else:
             data = hbm_lines.get(pool_addr)
             if data is None:
-                n_hbmm += 1
+                c_hbm_misses.value += 1
                 data = pm_read(pool_addr, 64)
-                n_pmr += 1
+                c_pm_line_reads.value += 1
                 media_ns = pm_read_ns
             else:
                 hbm_move(pool_addr)
-                n_hbmh += 1
+                c_hbm_hits.value += 1
                 media_ns = hbm_ns
         if hbm_cap > 0:
             hbm_lines[pool_addr] = data
             hbm_move(pool_addr)
             if len(hbm_lines) > hbm_cap:
                 hbm_lines.popitem(last=False)
-                n_hbme += 1
-        n_rds += 1
+                c_hbm_evics.value += 1
+        c_rd_shared.value += 1
         return data, proc_ns + media_ns
 
     def device_dirty_evict(line_addr, data):
@@ -800,61 +721,56 @@ def _replay_fast(trace, backend, stopwatch):
             raise ProtocolError(
                 "dirty eviction of 0x%x, but the line was never logged "
                 "this epoch" % line_addr)
-        nonlocal n_dev, n_sev, dev_dirty
+        nonlocal dev_dirty
         dev_dirty = True
         pumped = buffer_line(pool_addr, data, seq)
-        n_dev += 1
+        c_dirty_evicts.value += 1
         service = proc_ns
         if pumped:
             service += pumped * 1e9 / log_bps
-            n_sev += 1
+            c_stalled_evicts.value += 1
         return service
 
     # DevicePort._transact for the four bus ops the fast loop meets.
     def acquire_own_nodata(line_addr):
-        nonlocal n_trans, n_trwu
-        n_trwu += 1
+        c_tr_write_upgrade.value += 1
         latency = link_h2d(HEADER_BYTES)
         _data, service = device_rd_own(line_addr, False)
         latency += service
         latency += link_d2h(HEADER_BYTES)   # Go
-        n_trans += 1
+        c_transactions.value += 1
         return latency
 
     def acquire_own_data(line_addr):
-        nonlocal n_trans, n_trwm
-        n_trwm += 1
+        c_tr_write_miss.value += 1
         latency = link_h2d(HEADER_BYTES)
         data, service = device_rd_own(line_addr, True)
         latency += service
         latency += link_d2h(DATA_BYTES)     # DataResponse
-        n_trans += 1
+        c_transactions.value += 1
         return data, latency
 
     def acquire_shared(line_addr):
-        nonlocal n_trans, n_trrm
-        n_trrm += 1
+        c_tr_read_miss.value += 1
         latency = link_h2d(HEADER_BYTES)
         data, service = device_rd_shared(line_addr)
         latency += service
         latency += link_d2h(DATA_BYTES)     # DataResponse
-        n_trans += 1
+        c_transactions.value += 1
         return data, latency
 
     def writeback_dirty(line_addr, data):
-        nonlocal n_trans, n_tred
-        n_tred += 1
+        c_tr_evict_dirty.value += 1
         latency = link_h2d(DATA_BYTES)      # DirtyEvict carries the line
         service = device_dirty_evict(line_addr, data)
         latency += service
         latency += link_d2h(HEADER_BYTES)   # Go
-        n_trans += 1
+        c_transactions.value += 1
         return latency
 
     # Hierarchy _insert_llc, for the miss-path fill (_evict_from_l2 is
     # inlined at its single call site in the fast loop).
     def insert_llc(new_line):
-        nonlocal n_llce, n_llcw
         line_addr = new_line.addr
         bucket = llc_sets[(line_addr >> 6) & llc_mask]
         existing = bucket.get(line_addr)
@@ -865,11 +781,11 @@ def _replay_fast(trace, backend, stopwatch):
         victim = None
         if len(bucket) >= llc_ways:
             victim = bucket.popitem(last=False)[1]
-            n_llce += 1
+            c_llc_evic.value += 1
         bucket[line_addr] = new_line
         if victim is not None and victim.dirty:
             latency = writeback_dirty(victim.addr, bytes(victim.data))
-            n_llcw += 1
+            c_llc_writebacks.value += 1
             return latency
         return 0.0
 
@@ -917,7 +833,7 @@ def _replay_fast(trace, backend, stopwatch):
             # Same-line store fast path needs M state; for an L1-resident
             # line dirty <=> M (M is only entered by a store, and every
             # store sets dirty; E/S fills are clean), so the line's own
-            # flag answers without a states0 lookup.
+            # flag answers without a directory lookup.
             if line_addr == prev_addr and (c == 0 or prev_line.dirty):
                 # Same line as the previous access: it is still
                 # L1-resident and already MRU (anything that could evict
@@ -968,7 +884,7 @@ def _replay_fast(trace, backend, stopwatch):
                     n_stores += 1
                 else:
                     n_loads += 1
-                # Probe the caches before consulting the MESI mirror: the
+                # Probe the caches before consulting the directory: the
                 # fill/evict paths keep caches and directory in lockstep,
                 # so a cached line implies a directory entry and loads on
                 # the hit path never need the state at all. Stores read it
@@ -1001,7 +917,9 @@ def _replay_fast(trace, backend, stopwatch):
                             n_l1e += 1
                         bucket1[line_addr] = line
                     else:
-                        if states0_get(line_addr, "I") != "I":
+                        # One core: a directory entry exists exactly
+                        # when core 0 holds the line.
+                        if dir_get(line_addr) is not None:
                             raise ProtocolError(
                                 "directory says core 0 holds 0x%x but L2 "
                                 "lost it" % line_addr)
@@ -1047,12 +965,7 @@ def _replay_fast(trace, backend, stopwatch):
                             if l1_sets[(victim_addr >> 6) & l1_mask] \
                                     .pop(victim_addr, None) is not None:
                                 n_l1i += 1
-                            ventry = dir_get(victim_addr)
-                            if ventry is not None:
-                                ventry.states.pop(0, None)
-                                if not ventry.states:
-                                    del dir_entries[victim_addr]
-                            states0.pop(victim_addr, None)
+                            dir_entries.pop(victim_addr, None)
                             if victim2.dirty:
                                 latency += insert_llc(victim2)
                         else:
@@ -1064,22 +977,20 @@ def _replay_fast(trace, backend, stopwatch):
                         entry = DirectoryEntry()
                         dir_entries[line_addr] = entry
                         entry.states[0] = new_state
-                        states0[line_addr] = new_state
 
                 if c:
-                    state = states0[line_addr]
+                    states = dir_entries[line_addr].states
+                    state = states[0]
                     if state == "S":
                         # _upgrade: single core, no sharers to snoop
                         if llc_sets[(line_addr >> 6) & llc_mask] \
                                 .pop(line_addr, None) is not None:
                             n_llci += 1
                         latency += acquire_own_nodata(line_addr)
-                        dir_entries[line_addr].states[0] = "M"
-                        states0[line_addr] = "M"
+                        states[0] = "M"
                         n_upg += 1
                     elif state == "E":
-                        dir_entries[line_addr].states[0] = "M"
-                        states0[line_addr] = "M"
+                        states[0] = "M"
                     offset = off_l[i]
                     line.data[offset:offset + size] = store_data
                     line.dirty = True

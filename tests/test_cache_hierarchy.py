@@ -69,6 +69,25 @@ class TestBasics:
         assert hit_time == pytest.approx(default_model().cache.l1_ns)
 
 
+class TestSizeEdges:
+    """Sizes the single-line path does not take go through the line walk."""
+
+    def test_negative_load_size_rejected(self):
+        h, _c, _s, _home = build()
+        with pytest.raises(AddressError) as info:
+            h.load(0, BASE, -1)
+        assert str(info.value) == "size must be non-negative, got -1"
+
+    def test_zero_size_access_is_free(self):
+        h, clock, _s, _home = build()
+        assert h.load(0, BASE + 60, 0) == b""
+        h.store(0, BASE + 60, b"")
+        assert h.stats.get("loads") == 1
+        assert h.stats.get("stores") == 1
+        assert h.stats.get("memory_fetches") == 0
+        assert clock.now_ns == 0
+
+
 class TestExclusiveGrant:
     def test_sole_reader_gets_E_from_host_home(self):
         h, _c, _s, _home = build(grants_exclusive=True)

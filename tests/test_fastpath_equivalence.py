@@ -1,16 +1,20 @@
-"""Golden equivalence for the hot-path optimizations.
+"""Pinned goldens for the per-access path.
 
 The cache hierarchy, the PM device, the PMDK-style undo accessor and the
-CLWB cost model carry single-line fast paths that bypass the generic
-``split_lines``/``lines_covering`` walk, plus bound counters and inlined
-accounting (docs/performance.md). Setting ``REPRO_SLOW_PATH=1`` before
-construction forces the generic code.  These tests run the *same* mixed
-workload — loads, stores, persists, a crash, recovery — under both
-settings and require byte-identical observable behaviour: every stat
-snapshot, the simulated clock, the wear profile, and the recovered pool
-contents.  Any divergence means an optimization changed simulated
+CLWB cost model take a single-line access without the generic
+``split_lines``/``lines_covering`` walk and hand every other size to it
+(docs/performance.md). These tests run mixed workloads — loads, stores,
+line-straddling spans, persists, a crash, recovery — and compare a
+sha256 of everything observable against a pinned golden: every stat
+snapshot, the simulated clock, the wear profile, and the pool contents.
+
+The goldens were taken while a generic-walk-only variant of every one of
+these paths still existed, and both variants produced them; the test
+names keep that history. A mismatch means that a change moved simulated
 behaviour, not just wall-clock speed.
 """
+
+import hashlib
 
 import pytest
 
@@ -20,11 +24,46 @@ from repro.baselines.pmdk import PmdkBackend
 from repro.crashtest.injector import CrashInjector
 from repro.libpax.machine import HostMachine
 from repro.pm.device import PmDevice
-from repro.replay.equivalence import diff, fingerprint
-from repro.util.fastpath import SLOW_PATH_ENV, fast_path_enabled
+from repro.replay.equivalence import fingerprint
 from repro.util.stats import StatGroup
 
 from tests.conftest import small_cache_kwargs
+
+#: sha256 of each scenario's canonical fingerprint (see :func:`_digest`).
+GOLDEN = {
+    "pax":
+        "da12b86c9ca97f7b98a761ec69315541cb26abbbe9bbe5d5e32ed1f13cf8bec2",
+    "host:dram":
+        "520b85e3f65f001e59a3d2fe601cc5e296db1717d43f9d8ff878f1c2ea9c764d",
+    "host:pm":
+        "beb30d729f3d3f6546c11be4eff13bb8324c8355e49af5f505268fef4c6ed658",
+    "pm_device":
+        "d84f50d250f083c627c38574a8b70427d14edf39aa0ff166c55efe1b5bcfca1a",
+    "wal:pmdk":
+        "ac02bf9f39f50d4ab5701fb1c9a915d32597bf93a4218ac21e88cda13096ac3c",
+    "wal:compiler":
+        "19c752f329e75c8d5af9a5d46b80ccb06c39c5702ac5c9f609119c0099575183",
+}
+
+
+def _canonical(value):
+    """A hashable image of ``value`` that no dict/set order can move."""
+    if isinstance(value, dict):
+        return tuple(sorted((repr(key), _canonical(item))
+                            for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(repr(_canonical(item)) for item in value))
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value).hex()
+    return repr(value)
+
+
+def _digest(fingerprint_dict):
+    """sha256 of a scenario fingerprint; ``repr`` keeps int/float apart."""
+    blob = repr(_canonical(fingerprint_dict)).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _collect_stat_groups(root):
@@ -99,20 +138,8 @@ def _pax_fingerprint():
     }
 
 
-def test_pax_fast_and_slow_paths_are_byte_identical(monkeypatch):
-    monkeypatch.setenv(SLOW_PATH_ENV, "0")
-    assert fast_path_enabled()
-    fast = _pax_fingerprint()
-
-    monkeypatch.setenv(SLOW_PATH_ENV, "1")
-    assert not fast_path_enabled()
-    slow = _pax_fingerprint()
-
-    assert fast["rolled_back"] == slow["rolled_back"]
-    assert fast["clock_ns"] == slow["clock_ns"]
-    assert fast["contents"] == slow["contents"]
-    assert fast["wear"] == slow["wear"]
-    assert fast["stats"] == slow["stats"]
+def test_pax_fast_and_slow_paths_are_byte_identical():
+    assert _digest(_pax_fingerprint()) == GOLDEN["pax"]
 
 
 def _host_fingerprint(media):
@@ -120,7 +147,7 @@ def _host_fingerprint(media):
                           **small_cache_kwargs())
     mem = machine.mem()
     # Aligned words, unaligned spans, and line-crossing writes: the
-    # single-line fast path and the generic walk must split identically.
+    # single-line path and the line walk must split them as pinned.
     for i in range(64):
         mem.write_u64(i * 8, i * 3 + 1)
     for i in range(16):
@@ -137,13 +164,10 @@ def _host_fingerprint(media):
     }
 
 
-def test_host_machine_fast_and_slow_paths_match(monkeypatch):
+def test_host_machine_fast_and_slow_paths_match():
     for media in ("dram", "pm"):
-        monkeypatch.setenv(SLOW_PATH_ENV, "0")
-        fast = _host_fingerprint(media)
-        monkeypatch.setenv(SLOW_PATH_ENV, "1")
-        slow = _host_fingerprint(media)
-        assert fast == slow, "fast/slow divergence on %s machine" % media
+        assert _digest(_host_fingerprint(media)) == GOLDEN["host:" + media], \
+            "%s machine moved off its golden" % media
 
 
 def _pm_device_fingerprint():
@@ -162,12 +186,8 @@ def _pm_device_fingerprint():
     }
 
 
-def test_pm_device_fast_and_slow_paths_match(monkeypatch):
-    monkeypatch.setenv(SLOW_PATH_ENV, "0")
-    fast = _pm_device_fingerprint()
-    monkeypatch.setenv(SLOW_PATH_ENV, "1")
-    slow = _pm_device_fingerprint()
-    assert fast == slow
+def test_pm_device_fast_and_slow_paths_match():
+    assert _digest(_pm_device_fingerprint()) == GOLDEN["pm_device"]
 
 
 def _drive_wal(backend):
@@ -181,8 +201,8 @@ def _drive_wal(backend):
 
     def straddle():
         # 100 bytes from offset 40 of a fresh block cross two line
-        # boundaries: the single-line fast paths must hand this store to
-        # the generic walk.
+        # boundaries: the single-line paths must hand this store to the
+        # line walk.
         block = backend._alloc.alloc(192)
         backend._tx.write(block + 40, bytes(range(100)))
         return block
@@ -213,13 +233,8 @@ def _wal_fingerprint(factory):
 
 @pytest.mark.parametrize("factory", [PmdkBackend, CompilerPassBackend],
                          ids=["pmdk", "compiler"])
-def test_wal_backend_fast_and_slow_paths_match(monkeypatch, factory):
-    monkeypatch.setenv(SLOW_PATH_ENV, "0")
-    fast = _wal_fingerprint(factory)
-    monkeypatch.setenv(SLOW_PATH_ENV, "1")
-    slow = _wal_fingerprint(factory)
-
-    assert fast["rolled_back"] > 0
-    assert fast["block"] == bytes(range(100))
-    assert diff(slow["machine"], fast["machine"]) == []
-    assert fast == slow
+def test_wal_backend_fast_and_slow_paths_match(factory):
+    pinned = _wal_fingerprint(factory)
+    assert pinned["rolled_back"] > 0
+    assert pinned["block"] == bytes(range(100))
+    assert _digest(pinned) == GOLDEN["wal:" + factory.name]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import AddressError
 from repro.pm.flush import FlushModel
 from repro.sim.clock import SimClock
 from repro.sim.latency import default_model
@@ -28,6 +29,14 @@ class TestFlushModel:
     def test_clwb_empty_range_free(self):
         flush, clock = flush_model()
         assert flush.clwb(0, 0) == 0.0
+        assert clock.now_ns == 0
+
+    def test_clwb_negative_length_rejected(self):
+        flush, clock = flush_model()
+        with pytest.raises(AddressError) as info:
+            flush.clwb(0, -1)
+        assert str(info.value) == "size must be non-negative, got -1"
+        assert flush.stats.get("clwb_lines") == 0
         assert clock.now_ns == 0
 
     def test_sfence_includes_pm_drain(self):

@@ -10,7 +10,9 @@ acceptance criterion; anything else names exactly which quantity moved.
 
 import pytest
 
-from repro.errors import TraceUnsupportedError
+from repro.cache.cache import CacheConfig
+from repro.cache.line import MesiState
+from repro.errors import ProtocolError, TraceUnsupportedError
 from repro.perfbench import BACKENDS, build_backend
 from repro.replay import fast_eligible, load_trace_bytes, record, \
     replay_trace
@@ -89,6 +91,38 @@ def test_fast_and_generic_agree_with_each_other():
     replay_trace(trace, a, engine="fast")
     replay_trace(trace, b, engine="generic")
     assert diff(fingerprint(a), fingerprint(b)) == []
+
+
+def test_fast_engine_matches_with_dirty_llc_victims():
+    # A working set beyond L2 over a small LLC sends dirty LLC victims to
+    # the device (DirtyEvict into the write-back buffer) from inside the
+    # fast loop, which the default-size traces never reach.
+    llc = CacheConfig(size_bytes=8 * 1024, ways=4)
+    golden = build_backend("pax", llc_config=llc)
+    trace = record(golden, lambda live, recorder: _drive(
+        live, recorder, ops=100, records=1500))
+    fresh = build_backend("pax", llc_config=llc)
+    replay_trace(trace, fresh, engine="fast")
+    assert fresh.machine.hierarchy.stats.get("llc_writebacks") > 0
+    assert diff(fingerprint(golden), fingerprint(fresh)) == []
+
+
+@pytest.mark.parametrize("engine", ["fast", "generic"])
+def test_engines_report_a_line_lost_by_l2(engine):
+    # A directory entry for a line core 0's L2 does not hold breaks the
+    # hierarchy's inclusion invariant; a load of that line must raise the
+    # per-access path's ProtocolError on either engine.
+    fresh = build_backend("pax")
+    hier = fresh.machine.hierarchy
+    _base, end, _home = hier._homes[0]
+    line_addr = end - 64
+    assert hier.core_caches(0)[1].peek(line_addr) is None
+    hier._dir.set_state(line_addr, 0, MesiState.SHARED)
+    trace = fmt.Trace([fmt.LOAD], [0], [line_addr + 8], [8], b"", {})
+    with pytest.raises(ProtocolError) as info:
+        replay_trace(trace, fresh, engine=engine)
+    assert str(info.value) == (
+        "directory says core 0 holds 0x%x but L2 lost it" % line_addr)
 
 
 def test_fingerprint_sees_recency_order():
