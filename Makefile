@@ -2,9 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples quicktest lint staticcheck \
-	staticcheck-interproc fuzz fuzz-smoke perfbench perfbench-pr8 \
-	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
+.PHONY: install test bench examples quicktest lint staticcheck-cache \
+	staticcheck-fixtures staticcheck-fix autogen-check fuzz fuzz-smoke \
+	perfbench perfbench-pr8 perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke layerbench-test layerbench-smoke layerbench-trace-smoke \
 	layerbench-ab clean
 
@@ -20,31 +20,69 @@ quicktest:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Static analysis: project-specific AST lint rules over the simulator
-# sources (typed errors, PM write discipline, determinism), then the
-# flow-aware checkers (persist-order dominance, determinism taint,
-# PM-escape) against the committed baseline; see docs/analysis-tools.md.
-lint: staticcheck
-	PYTHONPATH=src $(PYTHON) -m repro.lint src/
+# Static analysis (docs/analysis-tools.md): one whole-program run of
+# every rule (the AST rules: typed errors, PM write discipline,
+# determinism, ...; the flow rules: persist-order dominance, determinism
+# taint, PM-escape) against the committed baseline.
+lint:
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
 
-staticcheck:
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural src/repro
-
-# Incremental-cache drill: a cold whole-program run followed by a warm
-# one. The warm run must analyze zero modules and produce byte-identical
+# Summary-cache drill: a cold whole-program run followed by a warm one.
+# The warm run must analyze zero modules and produce byte-identical
 # findings JSON, or the summary cache is broken.
-staticcheck-interproc:
+staticcheck-cache:
 	rm -rf /tmp/staticcheck-cache-drill
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural \
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck \
 		--cache-dir /tmp/staticcheck-cache-drill --no-baseline \
 		--format json src/repro > /tmp/staticcheck-cold.json; \
 		test $$? -eq 1
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural \
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck \
 		--cache-dir /tmp/staticcheck-cache-drill --no-baseline \
 		--format json src/repro 2>/tmp/staticcheck-warm.log \
 		> /tmp/staticcheck-warm.json; test $$? -eq 1
 	grep -q "re-analyzed 0/" /tmp/staticcheck-warm.log
 	cmp /tmp/staticcheck-cold.json /tmp/staticcheck-warm.json
+
+# Fixture self-test: each seeded-violation package must still exit 1
+# (findings), or an analysis has gone blind.
+staticcheck-fixtures:
+	@for pkg in structures taint escape; do \
+		rc=0; \
+		PYTHONPATH=src $(PYTHON) -m repro.staticcheck --no-cache \
+			--no-baseline tests/fixtures/staticcheck/$$pkg || rc=$$?; \
+		if [ "$$rc" -ne 1 ]; then \
+			echo "fixture $$pkg: expected exit 1 (findings), got $$rc" >&2; \
+			exit 1; \
+		fi; \
+	done
+
+# Auto-fix round trip: copy the seeded persist-order fixture into a
+# scratch tree, preview the fix as a diff, apply it, check the tree
+# comes back clean, and check a second run is a byte-level no-op (the
+# idempotence guarantee).
+FIXTREE = /tmp/staticcheck-fixtree
+staticcheck-fix:
+	rm -rf $(FIXTREE) && mkdir -p $(FIXTREE)/structures
+	cp tests/fixtures/staticcheck/structures/*.py $(FIXTREE)/structures/
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --no-baseline \
+		--fix-diff $(FIXTREE) | tee $(FIXTREE)-preview.patch
+	test -s $(FIXTREE)-preview.patch
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --no-baseline \
+		--fix $(FIXTREE)
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --no-baseline \
+		--select persist-order $(FIXTREE)
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --no-baseline \
+		--fix-diff $(FIXTREE) > $(FIXTREE)-second-run.patch
+	@if [ -s $(FIXTREE)-second-run.patch ]; then \
+		echo "fixer is not idempotent:" >&2; \
+		cat $(FIXTREE)-second-run.patch >&2; \
+		exit 1; \
+	fi
+
+# The committed generated backend (repro/baselines/_autopass_gen.py)
+# must be byte-identical to a fresh regeneration by the fixer.
+autogen-check:
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck.autogen --check
 
 # Crash-consistency fuzzing (crash point x fault plan x structure); see
 # docs/faults.md. `fuzz` is the full seeded sweep, `fuzz-smoke` a fast

@@ -375,8 +375,7 @@ def record_witness_trace(path, seed=1234, ops=48):
     deliberately stops *without* a final ``persist()``, so the trace
     ends with unprotected PM stores — exactly the crash window the
     static persist-order findings warn about. Feeding the written file
-    to ``python -m repro.staticcheck --interprocedural --witness-trace``
-    upgrades the findings it reaches to ``confirmed``.
+    to ``python -m repro.staticcheck --witness-trace`` upgrades the findings it reaches to ``confirmed``.
     """
     from repro.baselines.pax import make_backend
     from repro.replay.recorder import record
@@ -427,7 +426,8 @@ def main(argv=None):
     parser.add_argument("--witness-out", metavar="PATH",
                         help="record a seeded pax workload ending in "
                              "unprotected stores as a replay trace at "
-                             "PATH (for staticcheck --witness-trace) "
+                             "PATH (for python -m repro.staticcheck "
+                             "--witness-trace) "
                              "and exit")
     args = parser.parse_args(argv)
     if args.witness_out:

@@ -1,9 +1,10 @@
-"""Project linter: static AST checks for the repro codebase.
+"""The shared analysis engine and the project's AST rules.
 
-``python -m repro.lint src/`` parses every Python file under the given
-paths and runs a plugin catalogue of project-specific rules — the bug
-classes the PAX paper argues hand-written PM code keeps reintroducing
-(see docs/analysis-tools.md):
+:mod:`repro.lint.engine` holds the one rule registry, the per-file
+context and pass (:func:`~repro.lint.engine.check_source`), the
+suppression syntax and the findings output; :mod:`repro.lint.rules`
+holds the AST rules — the bug classes the PAX paper argues hand-written
+PM code keeps reintroducing (see docs/analysis-tools.md):
 
 ``typed-errors``
     Raise :class:`~repro.errors.ReproError` subclasses, never bare
@@ -17,34 +18,35 @@ classes the PAX paper argues hand-written PM code keeps reintroducing
     from ``sim.clock`` and randomness from ``sim.rng``.
 ``mutable-default``
     No mutable default arguments.
+``hot-path-stat-lookup``
+    No string-keyed stat lookups inside per-access hot paths.
 
-Findings can be suppressed per line with ``# lint: ignore[rule-id]``
-(or a bare ``# lint: ignore`` for every rule). New rules register with
-the :func:`~repro.lint.engine.rule` decorator; see
-:mod:`repro.lint.rules` for the catalogue.
+The flow rules register in the same registry from
+:mod:`repro.staticcheck.checkers`, and all of them run whole-program
+from one CLI, ``python -m repro.staticcheck``. Findings can be
+suppressed per line with ``# lint: ignore[rule-id]`` (or a bare
+``# lint: ignore`` for every rule). New rules register with the
+:func:`~repro.lint.engine.rule` decorator.
 """
 
 from repro.lint.engine import (
+    CheckContext,
     LintFinding,
     SuppressionIndex,
     all_rules,
+    check_source,
     findings_to_json,
     iter_function_nodes,
-    lint_source,
-    main,
     rule,
-    run_paths,
 )
-from repro.lint import rules as _rules  # noqa: F401  (registers the catalogue)
 
 __all__ = [
+    "CheckContext",
     "LintFinding",
     "SuppressionIndex",
     "all_rules",
+    "check_source",
     "findings_to_json",
     "iter_function_nodes",
-    "lint_source",
-    "main",
     "rule",
-    "run_paths",
 ]

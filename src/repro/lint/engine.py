@@ -1,18 +1,21 @@
-"""The lint engine: rule registry, suppression parsing, file walking.
+"""The analysis engine: rule registry, per-file context and pass,
+suppression parsing, file walking, and findings output.
 
 Rules are plugins: a rule is a generator function taking a
-:class:`LintContext` and yielding ``(lineno, col, message)`` tuples; the
-:func:`rule` decorator registers it under a stable id. The engine owns
-everything else — AST parsing, per-line ``# lint: ignore[rule]``
-suppressions, path walking, and the CLI.
+:class:`CheckContext` and yielding ``(lineno, col, message)`` tuples;
+the :func:`rule` decorator registers it under a stable id. The AST rules
+(:mod:`repro.lint.rules`) and the flow rules
+(:mod:`repro.staticcheck.checkers`) share this one registry and run in
+one per-file pass, :func:`check_source`. The engine owns everything
+else — AST parsing, per-line ``# lint: ignore[rule]`` suppressions,
+path walking, and rendering. The whole-program run and the CLI live in
+:mod:`repro.staticcheck.engine`.
 """
 
-import argparse
 import ast
 import json
 import os
 import re
-import sys
 
 from repro.errors import LintError
 
@@ -45,7 +48,7 @@ class Rule:
 def rule(rule_id, summary):
     """Decorator registering ``func`` as the checker for ``rule_id``.
 
-    ``func(ctx)`` receives a :class:`LintContext` and yields
+    ``func(ctx)`` receives a :class:`CheckContext` and yields
     ``(lineno, col, message)`` findings. Registering the same id twice is
     a programming error and raises :class:`~repro.errors.LintError`.
     """
@@ -54,15 +57,23 @@ def rule(rule_id, summary):
 
     def decorator(func):
         if rule_id in _RULES:
-            raise LintError("duplicate lint rule id %r" % (rule_id,))
+            raise LintError("duplicate rule id %r" % (rule_id,))
         _RULES[rule_id] = Rule(rule_id, summary, func)
         return func
     return decorator
 
 
+def _catalogue():
+    """The registry with both built-in catalogues registered."""
+    # Imported lazily: both catalogues import this module to register.
+    import repro.lint.rules  # noqa: F401
+    import repro.staticcheck.checkers  # noqa: F401
+    return _RULES
+
+
 def all_rules():
     """The registered catalogue as ``{rule_id: Rule}`` (a copy)."""
-    return dict(_RULES)
+    return dict(_catalogue())
 
 
 class LintFinding:
@@ -91,16 +102,33 @@ class LintFinding:
         return "LintFinding(%s)" % self.render()
 
 
-class LintContext:
-    """Everything a rule checker may inspect about one file."""
+class CheckContext:
+    """Everything a rule may inspect about one file.
 
-    def __init__(self, path, source, tree):
+    The AST rules read ``tree``/``lines`` and the path predicates; the
+    flow rules add the lazily built module facts (``imports``,
+    ``functions()``, per-function ``cfg()``), which cost nothing for a
+    rule that never asks.
+    """
+
+    def __init__(self, path, source, tree, project=None, interproc=None):
         self.path = path
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         #: Path normalized to forward slashes, for module-scope predicates.
         self.norm_path = path.replace(os.sep, "/")
+        #: ProjectIndex over the whole run (None for single-file calls).
+        self.project = project
+        #: InterprocAnalysis in the whole-program run (else None); flow
+        #: rules consult it for callee summaries and register candidate
+        #: metadata on it.
+        self.interproc = interproc
+        self._cfgs = {}
+        self._functions = None
+        self._imports = None
+
+    # -- path scoping -----------------------------------------------------
 
     def in_package(self, *suffixes):
         """True if this file lives at one of ``suffixes`` inside the
@@ -115,6 +143,70 @@ class LintContext:
         else:
             relative = self.norm_path[index + len(marker):]
         return any(relative == s or relative.startswith(s) for s in suffixes)
+
+    def has_segment(self, *names):
+        """True if any path component equals one of ``names``.
+
+        Unlike :meth:`in_package` this matches fixture trees too
+        (``tests/fixtures/staticcheck/structures/bad.py`` has a
+        ``structures`` segment), which is what keeps the seeded-violation
+        fixtures honest: they run through exactly the production scoping.
+        """
+        parts = self.norm_path.split("/")
+        return any(name in parts for name in names)
+
+    # -- module facts -----------------------------------------------------
+
+    @property
+    def imports(self):
+        """Local name -> source module, from top-level imports."""
+        if self._imports is None:
+            imports = {}
+            for node in ast.walk(self.tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        local = alias.asname or alias.name.split(".")[0]
+                        imports[local] = alias.name
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    for alias in node.names:
+                        imports[alias.asname or alias.name] = node.module
+            self._imports = imports
+        return self._imports
+
+    def functions(self):
+        """Every function in the file as ``(qualname, node)``, including
+        nested functions and methods (lambdas are not CFG material)."""
+        if self._functions is None:
+            collected = []
+
+            def visit(body, prefix):
+                for node in body:
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        qualname = prefix + node.name
+                        collected.append((qualname, node))
+                        visit(node.body, qualname + ".")
+                    elif isinstance(node, ast.ClassDef):
+                        visit(node.body, prefix + node.name + ".")
+                    else:
+                        # Descend into compound statements (if/for/try/
+                        # with bodies) so arbitrarily nested defs are
+                        # found at the same qualname prefix.
+                        nested = [child for child in ast.iter_child_nodes(node)
+                                  if isinstance(child, ast.stmt)]
+                        if nested:
+                            visit(nested, prefix)
+            visit(self.tree.body, "")
+            self._functions = collected
+        return self._functions
+
+    def cfg(self, func):
+        """The (cached) CFG for one function node."""
+        if func not in self._cfgs:
+            # Imported lazily: repro.staticcheck imports this module.
+            from repro.staticcheck.cfg import build_cfg
+            self._cfgs[func] = build_cfg(func)
+        return self._cfgs[func]
 
 
 def _suppressed_rules(line):
@@ -188,8 +280,8 @@ class SuppressionIndex:
         return False
 
 
-#: Version of the ``--json`` payload (shared by repro.lint and
-#: repro.staticcheck); bumped on incompatible shape changes.
+#: Version of the ``--format json`` payload; bumped on incompatible
+#: shape changes.
 JSON_SCHEMA_VERSION = 1
 
 
@@ -215,9 +307,8 @@ def findings_to_json(findings):
         indent=2)
 
 
-#: SARIF version emitted by ``--format sarif`` (shared by repro.lint
-#: and repro.staticcheck); the minimal subset GitHub code scanning
-#: ingests for inline annotations.
+#: SARIF version emitted by ``--format sarif``; the minimal subset
+#: GitHub code scanning ingests for inline annotations.
 SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
@@ -284,14 +375,20 @@ def render_findings(findings, fmt, tool_name, rules=None):
     return "\n".join(finding.render() for finding in findings)
 
 
-def lint_source(path, source, selected=None):
-    """Lint one source string; returns a list of :class:`LintFinding`.
+def check_source(path, source, project=None, selected=None,
+                 interproc=None):
+    """Check one source string; returns a list of :class:`LintFinding`.
 
     ``selected`` restricts the run to an iterable of rule ids (all
     registered rules when None). Unknown ids raise
     :class:`~repro.errors.LintError`. Syntax errors are reported as a
     finding under the pseudo-rule ``parse-error`` rather than raised, so
     one broken file cannot hide the rest of the tree's findings.
+    Suppressions are honoured per line (with multi-line statement
+    awareness). ``project`` and ``interproc`` are the whole-program
+    run's call graph and analysis: with them the flow rules resolve
+    gates through callee summaries and register candidate metadata for
+    the discharge filter; without them they check each function alone.
     """
     rules = _select(selected)
     try:
@@ -299,7 +396,8 @@ def lint_source(path, source, selected=None):
     except SyntaxError as exc:
         return [LintFinding(path, exc.lineno or 1, exc.offset or 0,
                             "parse-error", str(exc.msg))]
-    ctx = LintContext(path, source, tree)
+    ctx = CheckContext(path, source, tree, project=project,
+                       interproc=interproc)
     suppressions = SuppressionIndex(ctx.lines, tree)
     findings = []
     for rule_obj in rules:
@@ -313,14 +411,15 @@ def lint_source(path, source, selected=None):
 
 
 def _select(selected):
+    rules = _catalogue()
     if selected is None:
-        return list(_RULES.values())
+        return list(rules.values())
     chosen = []
     for rule_id in selected:
-        if rule_id not in _RULES:
-            raise LintError("unknown lint rule %r (have %s)"
-                            % (rule_id, ", ".join(sorted(_RULES))))
-        chosen.append(_RULES[rule_id])
+        if rule_id not in rules:
+            raise LintError("unknown rule %r (have %s)"
+                            % (rule_id, ", ".join(sorted(rules))))
+        chosen.append(rules[rule_id])
     return chosen
 
 
@@ -338,53 +437,3 @@ def iter_python_files(paths):
                         yield os.path.join(dirpath, filename)
         else:
             raise LintError("no such file or directory: %r" % (path,))
-
-
-def run_paths(paths, selected=None):
-    """Lint every Python file under ``paths``; returns all findings."""
-    findings = []
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        findings.extend(lint_source(filename, source, selected=selected))
-    return findings
-
-
-def main(argv=None):
-    """CLI entry point; exit code 0 clean, 1 findings, 2 usage error."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="Static persistency/project lint over Python sources.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--select", action="append", metavar="RULE",
-                        help="run only this rule id (repeatable)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a schema-tagged JSON object "
-                             "on stdout (same as --format json)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default=None,
-                        help="output format (default text; sarif suits "
-                             "CI annotation upload)")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule_id, rule_obj in sorted(all_rules().items()):
-            print("%-18s %s" % (rule_id, rule_obj.summary))
-        return 0
-    fmt = args.format or ("json" if args.json else "text")
-    try:
-        findings = run_paths(args.paths or ["src"], selected=args.select)
-    except LintError as exc:
-        print("lint: error: %s" % exc, file=sys.stderr)
-        return 2
-    rendered = render_findings(
-        findings, fmt, "repro.lint",
-        rules={rid: r.summary for rid, r in all_rules().items()})
-    if rendered or fmt != "text":
-        print(rendered)
-    if findings:
-        print("lint: %d finding(s)" % len(findings), file=sys.stderr)
-        return 1
-    return 0

@@ -1,7 +1,7 @@
-"""The built-in rule catalogue.
+"""The AST rule catalogue.
 
 Each rule is a generator decorated with :func:`repro.lint.engine.rule`;
-it walks the file's AST (via :class:`~repro.lint.engine.LintContext`) and
+it walks the file's AST (via :class:`~repro.lint.engine.CheckContext`) and
 yields ``(lineno, col, message)`` for every violation. Location/module
 scoping lives here, suppression handling lives in the engine.
 """

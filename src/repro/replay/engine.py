@@ -980,8 +980,9 @@ def _replay_fast(trace, backend, stopwatch):
 
                 if c:
                     states = dir_entries[line_addr].states
-                    state = states[0]
-                    if state == "S":
+                    # No E case: fast_eligible admits only a PaxHome,
+                    # and PaxHome.grants_exclusive is False.
+                    if states[0] == "S":
                         # _upgrade: single core, no sharers to snoop
                         if llc_sets[(line_addr >> 6) & llc_mask] \
                                 .pop(line_addr, None) is not None:
@@ -989,8 +990,6 @@ def _replay_fast(trace, backend, stopwatch):
                         latency += acquire_own_nodata(line_addr)
                         states[0] = "M"
                         n_upg += 1
-                    elif state == "E":
-                        states[0] = "M"
                     offset = off_l[i]
                     line.data[offset:offset + size] = store_data
                     line.dirty = True

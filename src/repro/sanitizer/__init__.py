@@ -1,11 +1,11 @@
 """Dynamic persistency sanitizers (PaxSan / WalSan).
 
-Runtime complement to the static linter (:mod:`repro.lint`): the linter
-catches bug *patterns* in the source; the sanitizers catch persist-order
-violations as they *happen* in a simulation, by shadowing every PM cache
-line with a persist-state machine (clean → dirty-in-cache → logged →
-durable) fed from tracer hooks in the coherence, logging, and commit
-paths. See docs/analysis-tools.md for the rule catalogue and wiring.
+Runtime complement to the static analysis (``python -m
+repro.staticcheck``): the static rules catch bug *patterns* in the
+source; the sanitizers catch persist-order violations as they *happen*
+in a simulation, by shadowing every PM cache line with a persist-state
+machine (clean → dirty-in-cache → logged → durable) fed from tracer
+hooks in the coherence, logging, and commit paths. See docs/analysis-tools.md for the rule catalogue and wiring.
 
 Quick start::
 

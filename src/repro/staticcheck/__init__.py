@@ -1,10 +1,14 @@
-"""Flow-aware static analysis for the repro codebase.
+"""Whole-program static analysis for the repro codebase.
 
-``python -m repro.staticcheck src/repro`` builds a per-function CFG
-(:mod:`repro.staticcheck.cfg`), runs forward dataflow over it
-(:mod:`repro.staticcheck.dataflow`) plus a module-level call graph
-(:mod:`repro.staticcheck.callgraph`), and applies the checker catalogue
-(:mod:`repro.staticcheck.checkers`):
+``python -m repro.staticcheck src/repro`` is the one analysis CLI. It
+reads every file under the given paths, builds the module-level call
+graph (:mod:`repro.staticcheck.callgraph`) and per-function
+persistency summaries over it (:mod:`repro.staticcheck.interproc`),
+and runs every rule of the shared registry (:mod:`repro.lint.engine`)
+in one per-file pass: the AST rules of :mod:`repro.lint.rules` and the
+flow rules of :mod:`repro.staticcheck.checkers`, which build
+per-function CFGs (:mod:`repro.staticcheck.cfg`) and run forward
+dataflow over them (:mod:`repro.staticcheck.dataflow`):
 
 ``persist-order``
     Accessor stores in ``structures/`` / ``baselines/`` must be
@@ -16,7 +20,7 @@
 ``pm-escape``
     Raw device objects must not escape their owning module without a
     ``repro.mem.accessor`` wrapper (alias-aware, unlike the syntactic
-    ``pm-direct-write`` lint rule).
+    ``pm-direct-write`` rule).
 
 ``persist-order`` findings can be *repaired*, not just reported:
 ``--fix`` / ``--fix-diff`` run the gate-placement pass
@@ -28,21 +32,14 @@ The same pass generates the ``autopass`` baseline backend (see
 
 Accepted legacy findings live in ``staticcheck-baseline.txt`` with a
 justification each; CI fails only on findings beyond the baseline (and
-on *dead* entries whose finding no longer exists). The suppression
-syntax (``# lint: ignore[checker-id]``), exit codes (0 clean /
-1 findings / 2 usage error), and ``--json`` / ``--format sarif``
-output match ``repro.lint`` — one mental model for both tools.
+on *dead* entries whose finding no longer exists). Suppressions use
+``# lint: ignore[rule-id]``; exit codes are 0 clean / 1 findings /
+2 usage error; ``--format json`` and ``--format sarif`` render the
+same findings for machines.
 """
 
-from repro.staticcheck.engine import (
-    CheckContext,
-    all_checkers,
-    check_source,
-    checker,
-    main,
-    run_paths,
-    run_paths_details,
-)
+from repro.lint.engine import CheckContext, all_rules, check_source, rule
+from repro.staticcheck.engine import main, run_interproc
 from repro.staticcheck.baseline import Baseline, path_key, write_baseline
 from repro.staticcheck.cfg import CFG, build_cfg
 from repro.staticcheck.dataflow import (
@@ -54,7 +51,7 @@ from repro.staticcheck.dataflow import (
     postdominators,
 )
 from repro.staticcheck.callgraph import ProjectIndex, module_key
-from repro.staticcheck import checkers as _checkers  # noqa: F401
+from repro.staticcheck.fixer import fix_source
 
 __all__ = [
     "Baseline",
@@ -65,25 +62,16 @@ __all__ = [
     "SetIntersectAnalysis",
     "SetUnionAnalysis",
     "TOP",
-    "all_checkers",
+    "all_rules",
     "build_cfg",
     "check_source",
-    "checker",
     "dominators",
     "fix_source",
     "main",
     "module_key",
     "path_key",
     "postdominators",
-    "run_paths",
-    "run_paths_details",
+    "rule",
+    "run_interproc",
     "write_baseline",
 ]
-
-
-def fix_source(path, source, style="auto"):
-    """Auto-insert persist gates; see :func:`repro.staticcheck.fixer.
-    fix_source`. Imported lazily to keep the checker import graph
-    acyclic."""
-    from repro.staticcheck.fixer import fix_source as _fix_source
-    return _fix_source(path, source, style=style)

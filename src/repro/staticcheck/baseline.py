@@ -93,7 +93,7 @@ class Baseline:
                 key = (parts[0], parts[1])
                 baseline.entries[key] = int(parts[2])
                 if pending_note:
-                    baseline.notes[key] = " ".join(pending_note)
+                    baseline.notes[key] = "\n".join(pending_note)
                 pending_note = []
                 seen_entry = True
         if pending_note and seen_entry:
@@ -154,8 +154,9 @@ class Baseline:
 def write_baseline(findings, path, notes=None):
     """Write a baseline accepting exactly ``findings``.
 
-    ``notes`` maps ``(path_key, rule_id)`` to a justification; entries
-    without one get a TODO marker so the review catches them.
+    ``notes`` maps ``(path_key, rule_id)`` to a justification (its
+    lines joined by newlines, as :meth:`Baseline.load` reads them);
+    entries without one get a TODO marker so the review catches them.
     """
     counts = {}
     for finding in findings:
@@ -166,13 +167,13 @@ def write_baseline(findings, path, notes=None):
         "# repro.staticcheck accepted-findings baseline.",
         "# Format: '<repro-relative path> <rule-id> <count>'; the comment",
         "# above each entry is its justification. Regenerate with",
-        "#   python -m repro.staticcheck --write-baseline <paths>",
+        "#   python -m repro.staticcheck --write-baseline src/repro",
         "# and justify anything new. See docs/analysis-tools.md.",
         "",
     ]
     for key in sorted(counts):
         note = notes.get(key, "TODO: justify this accepted finding")
-        lines.append("# %s" % note)
+        lines.extend(("# " + line).rstrip() for line in note.split("\n"))
         lines.append("%s %s %d" % (key[0], key[1], counts[key]))
         lines.append("")
     with open(path, "w", encoding="utf-8") as handle:

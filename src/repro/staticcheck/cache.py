@@ -1,4 +1,4 @@
-"""Incremental summary cache for interprocedural staticcheck runs.
+"""Incremental summary cache for whole-program staticcheck runs.
 
 One JSON file per module under ``.staticcheck-cache/``, keyed by an
 **environment hash**: the module's own content hash combined with the
@@ -9,9 +9,10 @@ its findings, summaries, and persist-order candidate metadata straight
 from the cache. Cyclic imports are handled by condensing the module
 graph into SCCs first (members of an import cycle share one hash).
 
-Only *imports-reachable* facts are cached: per-function summaries and
-the candidate findings produced with them (inline deferral to callee
-bodies, callee must-open gates). Caller-direction discharge rules
+Only *imports-reachable* facts are cached: per-function summaries, the
+candidate findings produced with them (inline deferral to callee
+bodies, callee must-open gates), and the AST rules' findings, which
+depend on the module's own source alone. Caller-direction discharge rules
 (mechanism/lifecycle/gated-context) are deliberately recomputed on
 every run by ``interproc.py`` — a new caller in an unrelated module
 must be able to change a cached module's verdict without touching its
@@ -29,7 +30,7 @@ import os
 CACHE_FORMAT = 1
 
 #: Bump when summary/checker semantics change; invalidates everything.
-SALT = "staticcheck-interproc-v1"
+SALT = "staticcheck-interproc-v2"
 
 DEFAULT_CACHE_DIR = ".staticcheck-cache"
 

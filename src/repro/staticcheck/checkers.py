@@ -1,7 +1,7 @@
-"""The flow-checker catalogue: persist-order, det-taint, pm-escape.
+"""The flow rules: persist-order, det-taint, pm-escape.
 
-Each checker upgrades a syntactic ``repro.lint`` rule with actual
-control- and data-flow reasoning:
+Each flow rule upgrades a syntactic AST rule (``repro.lint.rules``)
+with actual control- and data-flow reasoning:
 
 ``persist-order``
     The static counterpart of PaxSan's dynamic ``san-missing-undo``: in
@@ -24,8 +24,8 @@ control- and data-flow reasoning:
 
 import ast
 
+from repro.lint.engine import rule
 from repro.staticcheck.dataflow import ForwardAnalysis, TOP
-from repro.staticcheck.engine import checker
 
 
 def _name_of(expr):
@@ -241,9 +241,9 @@ class _GateAnalysis(ForwardAnalysis):
         return fact
 
 
-@checker("persist-order",
-         "accessor stores in structures/baselines must be dominated by "
-         "an open tx/persist gate")
+@rule("persist-order",
+      "accessor stores in structures/baselines must be dominated by "
+      "an open tx/persist gate")
 def check_persist_order(ctx):
     """Flag PM stores not covered by a transaction gate on all paths.
 
@@ -256,7 +256,7 @@ def check_persist_order(ctx):
     """
     if not ctx.has_segment("structures", "baselines"):
         return
-    interproc = getattr(ctx, "interproc", None)
+    interproc = ctx.interproc
     for qualname, func in ctx.functions():
         bound_stores = _bound_store_names(func)
         cfg = ctx.cfg(func)
@@ -641,9 +641,9 @@ class _ModuleImportsShim:
         self.project = None
 
 
-@checker("det-taint",
-         "no wall-clock/entropy/iteration-order taint may reach "
-         "simulated state")
+@rule("det-taint",
+      "no wall-clock/entropy/iteration-order taint may reach "
+      "simulated state")
 def check_det_taint(ctx):
     """Track non-determinism through assignments into sim-state sinks.
 
@@ -657,7 +657,7 @@ def check_det_taint(ctx):
     """
     if ctx.in_package(*_TAINT_SANCTIONED):
         return
-    interproc = getattr(ctx, "interproc", None)
+    interproc = ctx.interproc
     summaries = None
     if interproc is not None:
         summaries = interproc.taint_oracle(ctx.path)
@@ -824,8 +824,8 @@ class _EscapeAnalysis(ForwardAnalysis):
                     break
 
 
-@checker("pm-escape",
-         "raw PM devices must not escape their owning module unwrapped")
+@rule("pm-escape",
+      "raw PM devices must not escape their owning module unwrapped")
 def check_pm_escape(ctx):
     """Flag raw device objects leaking out of non-owner modules.
 
@@ -837,7 +837,7 @@ def check_pm_escape(ctx):
     """
     if ctx.has_segment(*_OWNER_SEGMENTS):
         return
-    interproc = getattr(ctx, "interproc", None)
+    interproc = ctx.interproc
     callee_safe = None
     if interproc is not None:
         callee_safe = interproc.escape_oracle(ctx.path)

@@ -1,25 +1,25 @@
-"""The staticcheck engine: checker registry, context, baseline, CLI.
+"""The whole-program run and the one analysis CLI.
 
-Mirrors :mod:`repro.lint.engine` deliberately — same finding type, same
-``# lint: ignore[...]`` suppressions (one vocabulary for both tools),
-same exit-code contract (0 clean / 1 findings / 2 usage-or-crash) — but
-a checker gets a :class:`CheckContext` with *flow* machinery on top of
-the parsed AST: per-function CFGs (built lazily, cached), the module's
-import map, and the whole run's :class:`~repro.staticcheck.callgraph.
-ProjectIndex` for cross-function questions.
+Every run is whole-program: :func:`run_interproc` reads all sources,
+builds the :class:`~repro.staticcheck.callgraph.ProjectIndex` and the
+:class:`~repro.staticcheck.interproc.InterprocAnalysis`, runs every
+registered rule — the AST rules of :mod:`repro.lint.rules` and the flow
+rules of :mod:`repro.staticcheck.checkers` — through the shared per-file
+pass :func:`~repro.lint.engine.check_source`, and applies the
+caller-direction discharge filter. :func:`main` checks the result
+against the accepted-findings baseline. Exit codes: 0 clean, 1 findings,
+2 usage error or crash.
 """
 
 import argparse
-import ast
 import os
-import re
 import sys
 
 from repro.errors import LintError
 from repro.lint.engine import (
-    LintContext,
     LintFinding,
-    SuppressionIndex,
+    all_rules,
+    check_source,
     iter_python_files,
     render_findings,
 )
@@ -29,190 +29,17 @@ from repro.staticcheck.baseline import (
     path_key,
     write_baseline,
 )
-from repro.staticcheck.callgraph import ProjectIndex
-from repro.staticcheck.cfg import build_cfg
-
-_CHECKERS = {}
-
-
-class Checker:
-    """One registered flow checker: id, summary, callable."""
-
-    __slots__ = ("checker_id", "summary", "check")
-
-    def __init__(self, checker_id, summary, check):
-        self.checker_id = checker_id
-        self.summary = summary
-        self.check = check
-
-
-def checker(checker_id, summary):
-    """Decorator registering a flow checker, mirroring ``lint.rule``.
-
-    The wrapped function takes a :class:`CheckContext` and yields
-    ``(lineno, col, message)`` findings.
-    """
-    if not re.fullmatch(r"[a-z][a-z0-9\-]*", checker_id):
-        raise LintError("checker id %r must be kebab-case" % (checker_id,))
-
-    def decorator(func):
-        if checker_id in _CHECKERS:
-            raise LintError("duplicate checker id %r" % (checker_id,))
-        _CHECKERS[checker_id] = Checker(checker_id, summary, func)
-        return func
-    return decorator
-
-
-def all_checkers():
-    """The registered catalogue as ``{checker_id: Checker}`` (a copy)."""
-    return dict(_CHECKERS)
-
-
-class CheckContext(LintContext):
-    """Everything a flow checker may inspect about one file."""
-
-    def __init__(self, path, source, tree, project=None):
-        LintContext.__init__(self, path, source, tree)
-        #: ProjectIndex over the whole run (None for single-file calls).
-        self.project = project
-        #: InterprocAnalysis when running whole-program mode (else None);
-        #: checkers consult it for callee summaries and register
-        #: candidate metadata on it.
-        self.interproc = None
-        self._cfgs = {}
-        self._functions = None
-        self._imports = None
-
-    # -- path scoping -----------------------------------------------------
-
-    def has_segment(self, *names):
-        """True if any path component equals one of ``names``.
-
-        Unlike :meth:`in_package` this matches fixture trees too
-        (``tests/fixtures/staticcheck/structures/bad.py`` has a
-        ``structures`` segment), which is what keeps the seeded-violation
-        fixtures honest: they run through exactly the production scoping.
-        """
-        parts = self.norm_path.split("/")
-        return any(name in parts for name in names)
-
-    # -- module facts -----------------------------------------------------
-
-    @property
-    def imports(self):
-        """Local name -> source module, from top-level imports."""
-        if self._imports is None:
-            imports = {}
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        local = alias.asname or alias.name.split(".")[0]
-                        imports[local] = alias.name
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    for alias in node.names:
-                        imports[alias.asname or alias.name] = node.module
-            self._imports = imports
-        return self._imports
-
-    def functions(self):
-        """Every function in the file as ``(qualname, node)``, including
-        nested functions and methods (lambdas are not CFG material)."""
-        if self._functions is None:
-            collected = []
-
-            def visit(body, prefix):
-                for node in body:
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        qualname = prefix + node.name
-                        collected.append((qualname, node))
-                        visit(node.body, qualname + ".")
-                    elif isinstance(node, ast.ClassDef):
-                        visit(node.body, prefix + node.name + ".")
-                    else:
-                        # Descend into compound statements (if/for/try/
-                        # with bodies) so arbitrarily nested defs are
-                        # found at the same qualname prefix.
-                        nested = [child for child in ast.iter_child_nodes(node)
-                                  if isinstance(child, ast.stmt)]
-                        if nested:
-                            visit(nested, prefix)
-            visit(self.tree.body, "")
-            self._functions = collected
-        return self._functions
-
-    def cfg(self, func):
-        """The (cached) CFG for one function node."""
-        if func not in self._cfgs:
-            self._cfgs[func] = build_cfg(func)
-        return self._cfgs[func]
-
-
-def _select(selected):
-    if selected is None:
-        return list(_CHECKERS.values())
-    chosen = []
-    for checker_id in selected:
-        if checker_id not in _CHECKERS:
-            raise LintError("unknown checker %r (have %s)"
-                            % (checker_id, ", ".join(sorted(_CHECKERS))))
-        chosen.append(_CHECKERS[checker_id])
-    return chosen
-
-
-def check_source(path, source, project=None, selected=None, interproc=None):
-    """Check one source string; returns a list of LintFinding.
-
-    Same contract as ``lint_source``: syntax errors become a
-    ``parse-error`` finding, suppressions are honoured per line (with
-    multi-line statement awareness). ``interproc`` switches the
-    checkers into whole-program mode (callee summaries resolve gates,
-    candidates register their function metadata for the discharge
-    filter).
-    """
-    checkers = _select(selected)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [LintFinding(path, exc.lineno or 1, exc.offset or 0,
-                            "parse-error", str(exc.msg))]
-    ctx = CheckContext(path, source, tree, project=project)
-    ctx.interproc = interproc
-    suppressions = SuppressionIndex(ctx.lines, tree)
-    findings = []
-    for checker_obj in checkers:
-        for lineno, col, message in checker_obj.check(ctx):
-            if suppressions.suppressed(lineno, checker_obj.checker_id):
-                continue
-            findings.append(LintFinding(path, lineno, col,
-                                        checker_obj.checker_id, message))
-    findings.sort(key=lambda f: (f.lineno, f.col, f.rule_id))
-    return findings
-
-
-def run_paths_details(paths, selected=None):
-    """Check every Python file under ``paths``.
-
-    Reads everything first to build the project index (the call graph
-    spans the whole run), then checks file by file. Returns
-    ``(findings, filenames)`` — the filenames scope baseline staleness
-    checks to what this run actually looked at.
-    """
-    sources = []
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as handle:
-            sources.append((filename, handle.read()))
-    project = ProjectIndex.build(sources)
-    findings = []
-    for filename, source in sources:
-        findings.extend(check_source(filename, source, project=project,
-                                     selected=selected))
-    return findings, [filename for filename, _source in sources]
-
-
-def run_paths(paths, selected=None):
-    """:func:`run_paths_details` without the filename list."""
-    return run_paths_details(paths, selected=selected)[0]
+from repro.staticcheck.cache import (
+    CACHE_FORMAT,
+    DEFAULT_CACHE_DIR,
+    SALT,
+    SummaryCache,
+    content_hash,
+    env_hashes,
+)
+from repro.staticcheck.callgraph import ProjectIndex, module_key
+from repro.staticcheck.fixer import fix_paths
+from repro.staticcheck.interproc import InterprocAnalysis
 
 
 def run_interproc(paths, selected=None, cache_dir=None, use_cache=True):
@@ -225,22 +52,9 @@ def run_interproc(paths, selected=None, cache_dir=None, use_cache=True):
     Returns ``(findings, filenames, stats)`` where ``stats`` carries
     ``analyzed``/``total`` module counts and the discharge count.
 
-    The cache is bypassed when a checker selection is active — entries
+    The cache is bypassed when a rule selection is active — entries
     always describe full-catalogue runs.
     """
-    # Imported lazily: interproc pulls in the checkers, which import
-    # this module at load time.
-    from repro.staticcheck.cache import (
-        CACHE_FORMAT,
-        DEFAULT_CACHE_DIR,
-        SALT,
-        SummaryCache,
-        content_hash,
-        env_hashes,
-    )
-    from repro.staticcheck.interproc import InterprocAnalysis
-    from repro.staticcheck.callgraph import module_key
-
     sources = []
     for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
@@ -315,19 +129,17 @@ def main(argv=None):
     """CLI entry point; exit code 0 clean, 1 findings, 2 usage error."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
-        description="Flow-aware static analysis (CFG/dataflow) over the "
+        description="Whole-program static analysis (AST rules plus "
+                    "CFG/dataflow rules over the call graph) of the "
                     "repro sources; see docs/analysis-tools.md.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to check (default: src)")
-    parser.add_argument("--select", action="append", metavar="CHECKER",
-                        help="run only this checker id (repeatable)")
-    parser.add_argument("--list-checkers", action="store_true",
-                        help="print the checker catalogue and exit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON array on stdout "
-                             "(same as --format json)")
+    parser.add_argument("--select", action="append", metavar="RULE",
+                        help="run only this rule id (repeatable)")
+    parser.add_argument("--list-rules", action="store_true",
+                        help="print the rule catalogue and exit")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default=None,
+                        default="text",
                         help="output format (default text; sarif suits "
                              "CI annotation upload)")
     parser.add_argument("--fix", action="store_true",
@@ -341,22 +153,15 @@ def main(argv=None):
                         default="auto",
                         help="gate idiom for --fix/--fix-diff (default: "
                              "auto — pick per receiver)")
-    parser.add_argument("--interprocedural", action="store_true",
-                        help="whole-program mode: compute per-function "
-                             "persistency summaries over the call graph, "
-                             "discharge findings guaranteed by callees/"
-                             "callers, annotate survivors with call paths")
     parser.add_argument("--witness-trace", action="append", metavar="FILE",
                         help="replay trace (repro.replay format) used to "
                              "ground surviving findings as 'confirmed' or "
-                             "'static-only' (repeatable; implies "
-                             "--interprocedural)")
+                             "'static-only' (repeatable)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="summary cache directory for "
-                             "--interprocedural (default: "
+                        help="summary cache directory (default: "
                              ".staticcheck-cache)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the interprocedural summary cache")
+                        help="disable the summary cache")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="accepted-findings baseline (default: "
                              "discover staticcheck-baseline.txt)")
@@ -368,60 +173,38 @@ def main(argv=None):
                              "exit 0")
     args = parser.parse_args(argv)
 
-    if args.list_checkers:
-        for checker_id, checker_obj in sorted(all_checkers().items()):
-            print("%-18s %s" % (checker_id, checker_obj.summary))
+    if args.list_rules:
+        for rule_id, rule_obj in sorted(all_rules().items()):
+            print("%-20s %s" % (rule_id, rule_obj.summary))
         return 0
 
     paths = args.paths or ["src"]
-
-    if args.fix or args.fix_diff:
-        # Imported lazily: the fixer pulls in the checker internals,
-        # and checkers import this module at load time.
-        from repro.staticcheck.fixer import fix_paths
-        fix_baseline = None
-        if not args.no_baseline:
+    baseline = baseline_path = None
+    try:
+        if not (args.no_baseline or args.write_baseline):
             baseline_path = args.baseline or discover_baseline(paths)
             if baseline_path is not None:
-                try:
-                    fix_baseline = Baseline.load(baseline_path)
-                except (LintError, OSError) as exc:
-                    print("staticcheck: error: %s" % exc, file=sys.stderr)
-                    return 2
-        try:
+                baseline = Baseline.load(baseline_path)
+        if args.fix or args.fix_diff:
             return fix_paths(paths, style=args.fix_style,
-                             diff_only=args.fix_diff,
-                             baseline=fix_baseline)
-        except LintError as exc:
-            print("staticcheck: error: %s" % exc, file=sys.stderr)
-            return 2
-
-    if args.witness_trace:
-        args.interprocedural = True
-
-    try:
-        if args.interprocedural:
-            findings, checked_files, stats = run_interproc(
-                paths, selected=args.select,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache)
-            print("staticcheck: re-analyzed %d/%d module(s)"
-                  % (stats["analyzed"], stats["total"]), file=sys.stderr)
-            if stats["discharged"]:
-                print("staticcheck: interprocedural summaries discharged "
-                      "%d finding(s)" % stats["discharged"],
-                      file=sys.stderr)
-            if args.witness_trace:
-                from repro.staticcheck.witness import apply_witnesses
-                confirmed, static_only = apply_witnesses(
-                    findings, args.witness_trace)
-                print("staticcheck: witness: %d confirmed, "
-                      "%d static-only" % (confirmed, static_only),
-                      file=sys.stderr)
-        else:
-            findings, checked_files = run_paths_details(
-                paths, selected=args.select)
-    except LintError as exc:
+                             diff_only=args.fix_diff, baseline=baseline)
+        findings, checked_files, stats = run_interproc(
+            paths, selected=args.select, cache_dir=args.cache_dir,
+            use_cache=not args.no_cache)
+        print("staticcheck: re-analyzed %d/%d module(s)"
+              % (stats["analyzed"], stats["total"]), file=sys.stderr)
+        if stats["discharged"]:
+            print("staticcheck: interprocedural summaries discharged "
+                  "%d finding(s)" % stats["discharged"], file=sys.stderr)
+        if args.witness_trace:
+            # Imported lazily: the trace reader loads repro.replay, which
+            # more than doubles the CLI's import time.
+            from repro.staticcheck.witness import apply_witnesses
+            confirmed, static_only = apply_witnesses(
+                findings, args.witness_trace)
+            print("staticcheck: witness: %d confirmed, %d static-only"
+                  % (confirmed, static_only), file=sys.stderr)
+    except (LintError, OSError) as exc:
         print("staticcheck: error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -437,36 +220,28 @@ def main(argv=None):
 
     accepted = []
     dead = []
-    if not args.no_baseline:
-        baseline_path = args.baseline or discover_baseline(paths)
-        if baseline_path is not None:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (LintError, OSError) as exc:
-                print("staticcheck: error: %s" % exc, file=sys.stderr)
-                return 2
-            findings, accepted = baseline.apply(findings)
-            checked_keys = {path_key(name) for name in checked_files}
-            dead = baseline.dead_entries(accepted + findings, checked_keys)
-            for dead_path, dead_rule in dead:
-                print("staticcheck: error: baseline entry %s %s is dead "
-                      "(that file/rule produces no finding any more); "
-                      "remove it from %s"
-                      % (dead_path, dead_rule, baseline_path),
-                      file=sys.stderr)
-            for stale_path, stale_rule, unused in \
-                    baseline.stale_entries(accepted + findings):
-                if (stale_path, stale_rule) in dead:
-                    continue
-                print("staticcheck: note: baseline entry %s %s has %d "
-                      "unused slot(s)" % (stale_path, stale_rule, unused),
-                      file=sys.stderr)
+    if baseline is not None:
+        findings, accepted = baseline.apply(findings)
+        checked_keys = {path_key(name) for name in checked_files}
+        dead = baseline.dead_entries(accepted + findings, checked_keys)
+        for dead_path, dead_rule in dead:
+            print("staticcheck: error: baseline entry %s %s is dead "
+                  "(that file/rule produces no finding any more); "
+                  "remove it from %s"
+                  % (dead_path, dead_rule, baseline_path),
+                  file=sys.stderr)
+        for stale_path, stale_rule, unused in \
+                baseline.stale_entries(accepted + findings):
+            if (stale_path, stale_rule) in dead:
+                continue
+            print("staticcheck: note: baseline entry %s %s has %d "
+                  "unused slot(s)" % (stale_path, stale_rule, unused),
+                  file=sys.stderr)
 
-    fmt = args.format or ("json" if args.json else "text")
     rendered = render_findings(
-        findings, fmt, "repro.staticcheck",
-        rules={cid: c.summary for cid, c in all_checkers().items()})
-    if rendered or fmt != "text":
+        findings, args.format, "repro.staticcheck",
+        rules={rid: r.summary for rid, r in all_rules().items()})
+    if rendered or args.format != "text":
         print(rendered)
     if dead and not findings:
         print("staticcheck: %d dead baseline entr%s" %

@@ -33,6 +33,7 @@ re-checking the final source.
 import ast
 
 from repro.errors import LintError
+from repro.lint.engine import check_source, iter_python_files
 from repro.staticcheck import placement
 from repro.staticcheck.checkers import _ACCESSOR_NAMES, _GATE_LOG_RECEIVERS
 from repro.staticcheck.rewriter import (
@@ -347,9 +348,6 @@ def fix_paths(paths, style="auto", diff_only=False, baseline=None,
     store was unfixable, honoring the shared lint exit contract.
     """
     import sys
-
-    from repro.lint.engine import iter_python_files
-    from repro.staticcheck.engine import check_source
 
     out = stream or sys.stdout
     exit_code = 0

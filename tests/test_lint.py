@@ -1,6 +1,7 @@
-"""The project linter: each rule's positive/negative fixtures, the
-suppression syntax, module sanctioning, the CLI, and — the point of the
-whole exercise — that the real source tree lints clean."""
+"""The AST rules: each rule's positive/negative fixtures, the
+suppression syntax, module sanctioning, the CLI on AST-rule findings,
+and — the point of the whole exercise — that the real source tree is
+clean under every AST rule."""
 
 import json
 import os
@@ -8,17 +9,29 @@ import os
 import pytest
 
 from repro.errors import LintError
-from repro.lint import all_rules, lint_source, main, run_paths
+from repro.lint import all_rules, check_source
+from repro.lint.engine import iter_python_files
+from repro.staticcheck import main as staticcheck_main
 
 import repro
 
 SRC_REPRO = os.path.dirname(os.path.abspath(repro.__file__))
 
+AST_RULES = ("typed-errors", "pm-direct-write", "sim-determinism",
+             "mutable-default", "hot-path-stat-lookup")
 
-def findings_for(source, path="fixture.py", selected=None):
-    """Lint a source string and return ``[(rule_id, lineno), ...]``."""
+
+def main(argv):
+    """The one analysis CLI, without touching the working directory's
+    summary cache."""
+    return staticcheck_main(["--no-cache"] + argv)
+
+
+def findings_for(source, path="fixture.py", selected=AST_RULES):
+    """Check a source string under the AST rules (all of them unless
+    ``selected`` narrows it) and return ``[(rule_id, lineno), ...]``."""
     return [(f.rule_id, f.lineno)
-            for f in lint_source(path, source, selected=selected)]
+            for f in check_source(path, source, selected=selected)]
 
 
 # -- typed-errors -----------------------------------------------------------
@@ -238,13 +251,12 @@ def test_parse_error_is_a_finding_not_an_exception():
 
 def test_unknown_selected_rule_raises_lint_error():
     with pytest.raises(LintError):
-        lint_source("x.py", "pass\n", selected=["no-such-rule"])
+        check_source("x.py", "pass\n", selected=["no-such-rule"])
 
 
 def test_rule_catalogue_is_registered():
     rules = all_rules()
-    assert {"typed-errors", "pm-direct-write", "sim-determinism",
-            "mutable-default", "hot-path-stat-lookup"} <= set(rules)
+    assert set(AST_RULES) <= set(rules)
     for rule_obj in rules.values():
         assert rule_obj.summary
 
@@ -268,7 +280,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_json_output(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("def f():\n    raise ValueError('x')\n")
-    assert main(["--json", str(dirty)]) == 1
+    assert main(["--format", "json", str(dirty)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert len(payload["findings"]) == 1
@@ -279,7 +291,7 @@ def test_cli_json_output(tmp_path, capsys):
 
     clean = tmp_path / "clean.py"
     clean.write_text("def f(x=None):\n    return x\n")
-    assert main(["--json", str(clean)]) == 0
+    assert main(["--format", "json", str(clean)]) == 0
     assert json.loads(capsys.readouterr().out) == {"schema": 1,
                                                    "findings": []}
 
@@ -293,5 +305,9 @@ def test_cli_list_rules(capsys):
 # -- the tree itself --------------------------------------------------------
 
 def test_real_source_tree_is_clean():
-    findings = run_paths([SRC_REPRO])
+    findings = []
+    for filename in iter_python_files([SRC_REPRO]):
+        with open(filename, "r", encoding="utf-8") as handle:
+            findings.extend(check_source(filename, handle.read(),
+                                         selected=AST_RULES))
     assert findings == [], "\n".join(f.render() for f in findings)

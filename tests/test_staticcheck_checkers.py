@@ -8,24 +8,29 @@ import textwrap
 import pytest
 
 from repro.errors import LintError
-from repro.staticcheck import all_checkers, check_source
+from repro.staticcheck import all_rules, check_source
 
 STRUCTURES = "src/repro/structures/fixture.py"
 SIM = "src/repro/sim/fixture.py"
 TOOLS = "src/repro/tools/fixture.py"
 
 
-def findings_for(source, path, selected=None):
+#: The flow rules this file covers; the AST rules sharing the registry
+#: (e.g. sim-determinism on ``import time``) are tested in test_lint.py.
+FLOW_RULES = ("persist-order", "det-taint", "pm-escape")
+
+
+def findings_for(source, path, selected=FLOW_RULES):
     return [(f.rule_id, f.lineno)
             for f in check_source(path, textwrap.dedent(source),
                                   selected=selected)]
 
 
 def test_checker_catalogue_is_registered():
-    checkers = all_checkers()
-    assert {"persist-order", "det-taint", "pm-escape"} <= set(checkers)
-    for checker_obj in checkers.values():
-        assert checker_obj.summary
+    rules = all_rules()
+    assert {"persist-order", "det-taint", "pm-escape"} <= set(rules)
+    for rule_obj in rules.values():
+        assert rule_obj.summary
 
 
 def test_unknown_selected_checker_raises():

@@ -10,8 +10,8 @@ import shutil
 import pytest
 
 from repro.errors import LintError
-from repro.lint import main as lint_main
-from repro.staticcheck import main, run_paths
+from repro.staticcheck import main as staticcheck_main
+from repro.staticcheck import run_interproc
 from repro.staticcheck.autogen import generate, main as autogen_main
 from repro.staticcheck.autogen import target_path
 from repro.staticcheck.baseline import path_key
@@ -31,8 +31,14 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "fixtures", "staticcheck")
 BAD_FIXTURE = os.path.join(FIXTURES, "structures", "persist_bad.py")
 
 
-def _findings(path):
-    return [f for f in run_paths([str(path)], selected=["persist-order"])]
+def main(argv):
+    """The CLI, without touching the working directory's summary cache."""
+    return staticcheck_main(["--no-cache"] + argv)
+
+
+def _findings(path, selected=("persist-order",)):
+    return run_interproc([str(path)], selected=selected,
+                         use_cache=False)[0]
 
 
 def _fix(source, style="auto"):
@@ -210,7 +216,7 @@ def test_fix_skips_baseline_accepted_files(tmp_path, capsys):
     tree = _bad_tree(tmp_path)
     target = tree / "structures" / "persist_bad.py"
     before = target.read_text()
-    count = len(run_paths([str(target)], selected=["persist-order"]))
+    count = len(_findings(target))
     baseline = tmp_path / "staticcheck-baseline.txt"
     baseline.write_text("# volatile by design\n"
                         "%s persist-order %d\n"
@@ -229,8 +235,8 @@ def test_fix_reports_parse_errors(tmp_path, capsys):
 
 # -- SARIF output -----------------------------------------------------------
 
-def _sarif_of(capsys, exit_code_expected, argv, tool):
-    assert tool(argv) == exit_code_expected
+def _sarif_of(capsys, exit_code_expected, argv):
+    assert main(argv) == exit_code_expected
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == "2.1.0"
     return report
@@ -239,8 +245,7 @@ def _sarif_of(capsys, exit_code_expected, argv, tool):
 def test_staticcheck_sarif_output(tmp_path, capsys):
     tree = _bad_tree(tmp_path)
     report = _sarif_of(capsys, 1,
-                       ["--no-baseline", "--format", "sarif", str(tree)],
-                       main)
+                       ["--no-baseline", "--format", "sarif", str(tree)])
     run = report["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro.staticcheck"
     rules = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
@@ -253,12 +258,17 @@ def test_staticcheck_sarif_output(tmp_path, capsys):
 
 
 def test_lint_sarif_output_shares_the_format(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text('"""Doc."""\n')
-    report = _sarif_of(capsys, 0, ["--format", "sarif", str(clean)],
-                       lint_main)
-    assert report["runs"][0]["tool"]["driver"]["name"] == "repro.lint"
-    assert report["runs"][0]["results"] == []
+    """AST-rule findings land in the same SARIF run, under the same
+    tool name and rule catalogue, as the flow rules'."""
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("def f():\n    raise ValueError('x')\n")
+    report = _sarif_of(capsys, 1,
+                       ["--no-baseline", "--format", "sarif", str(dirty)])
+    run = report["runs"][0]
+    assert run["tool"]["driver"]["name"] == "repro.staticcheck"
+    rules = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    assert {"typed-errors", "persist-order"} <= rules
+    assert [r["ruleId"] for r in run["results"]] == ["typed-errors"]
 
 
 # -- dead baseline entries --------------------------------------------------
@@ -323,4 +333,4 @@ def test_serve_package_is_staticcheck_clean():
     grow baseline entries.
     """
     serve = os.path.join(SRC_REPRO, "serve")
-    assert run_paths([serve]) == []
+    assert _findings(serve, selected=None) == []

@@ -1,17 +1,19 @@
 """The seeded-violation fixture packages: each checker must fire on
 exactly the planted lines of its ``*_bad.py`` fixture and stay silent
-on the clean twin — zero false positives, zero false negatives."""
+on the clean twin — zero false positives, zero false negatives. The
+packages run through the whole tool, every rule, as the CLI runs them."""
 
 import os
 
-from repro.staticcheck import run_paths
+from repro.staticcheck import run_interproc
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "staticcheck")
 
 
 def fixture_findings(subdir):
-    findings = run_paths([os.path.join(FIXTURES, subdir)])
+    findings, _names, _stats = run_interproc(
+        [os.path.join(FIXTURES, subdir)], use_cache=False)
     return [(os.path.basename(f.path), f.rule_id, f.lineno)
             for f in findings]
 
@@ -27,6 +29,7 @@ def test_persist_order_fixture_fires_on_planted_lines():
 
 def test_det_taint_fixture_fires_on_planted_lines():
     assert fixture_findings("taint") == [
+        ("taint_bad.py", "sim-determinism", 10),   # AST rule: import time
         ("taint_bad.py", "det-taint", 21),   # wall clock -> clock.advance
         ("taint_bad.py", "det-taint", 26),   # os.urandom -> rng.seed
         ("taint_bad.py", "det-taint", 31),   # helper-return summary
@@ -49,7 +52,7 @@ def test_clean_twins_are_clean_under_every_checker():
 
 
 def test_interprocedural_taint_needs_the_project_index():
-    """The helper-summary finding (line 31) exists only because run_paths
+    """The helper-summary finding (line 31) exists only because the run
     builds a call graph; it rides through ``_entropy``'s return value."""
     found = fixture_findings("taint")
     assert ("taint_bad.py", "det-taint", 31) in found

@@ -10,7 +10,13 @@ import textwrap
 import pytest
 
 from repro.errors import LintError
-from repro.lint.engine import LintFinding, findings_to_json, findings_to_sarif
+from repro.lint.engine import (
+    LintFinding,
+    check_source,
+    findings_to_json,
+    findings_to_sarif,
+    iter_python_files,
+)
 from repro.replay.format import (
     PERSIST,
     RAW_WRITE,
@@ -21,7 +27,7 @@ from repro.replay.format import (
 )
 from repro.staticcheck.baseline import Baseline
 from repro.staticcheck.callgraph import ProjectIndex, module_key
-from repro.staticcheck.engine import run_interproc, run_paths
+from repro.staticcheck.engine import run_interproc
 from repro.staticcheck.witness import apply_witnesses, unsafe_store_count
 
 
@@ -46,17 +52,28 @@ def keys_of(findings):
                   for f in findings)
 
 
-def build_index(tmp_path, files):
-    root = write_tree(tmp_path, files)
+def read_sources(root):
     sources = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                path = os.path.join(dirpath, name)
-                with open(path, "r", encoding="utf-8") as handle:
-                    sources.append((path, handle.read()))
-    return ProjectIndex.build(sources)
+    for path in iter_python_files([root]):
+        with open(path, "r", encoding="utf-8") as handle:
+            sources.append((path, handle.read()))
+    return sources
+
+
+def build_index(tmp_path, files):
+    return ProjectIndex.build(read_sources(write_tree(tmp_path, files)))
+
+
+def per_function(root):
+    """The per-function pass alone, the input the whole-program run
+    discharges from: every file through ``check_source`` with the
+    project index but without the interprocedural analysis."""
+    sources = read_sources(root)
+    project = ProjectIndex.build(sources)
+    findings = []
+    for path, source in sources:
+        findings.extend(check_source(path, source, project=project))
+    return findings
 
 
 # -- callgraph regressions: aliases and partial ------------------------------
@@ -217,8 +234,8 @@ def test_store_verb_call_defers_to_checked_callee_body(tmp_path):
                     self._mem.write_u64(k, v)
         """,
     }
-    per_function = run_paths([write_tree(tmp_path, files)])
-    assert len(per_function) == 1          # the self._write(...) call
+    unfiltered = per_function(write_tree(tmp_path, files))
+    assert len(unfiltered) == 1          # the self._write(...) call
     findings, _names, _stats = run_interproc([str(tmp_path)],
                                              use_cache=False)
     assert findings == []                  # analyzed in the callee body
@@ -236,8 +253,8 @@ def test_callee_must_open_gate_covers_caller_store(tmp_path):
                     self.wal.begin()
         """,
     }
-    per_function = run_paths([write_tree(tmp_path, files)])
-    assert len(per_function) == 1
+    unfiltered = per_function(write_tree(tmp_path, files))
+    assert len(unfiltered) == 1
     findings, _names, _stats = run_interproc([str(tmp_path)],
                                              use_cache=False)
     assert findings == []
@@ -296,8 +313,8 @@ def test_gated_context_discharges_helper_stores(tmp_path):
                     self._mem.write_u64(k, v)
         """,
     }
-    per_function = run_paths([write_tree(tmp_path, files)])
-    assert len(per_function) == 1          # _update's bare store
+    unfiltered = per_function(write_tree(tmp_path, files))
+    assert len(unfiltered) == 1          # _update's bare store
     findings, _names, _stats = run_interproc([str(tmp_path)],
                                              use_cache=False)
     assert findings == []
@@ -334,21 +351,21 @@ def test_interproc_findings_are_subset_of_per_function(tmp_path):
                     self.wal.begin()
         """,
     }
-    per_function = run_paths([write_tree(tmp_path, files)])
+    unfiltered = per_function(write_tree(tmp_path, files))
     findings, _names, _stats = run_interproc([str(tmp_path)],
                                              use_cache=False)
-    assert set(keys_of(findings)) <= set(keys_of(per_function))
+    assert set(keys_of(findings)) <= set(keys_of(unfiltered))
     assert len(findings) == 1              # only bad() survives
 
 
 def test_seeded_fixtures_fire_in_both_modes():
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "staticcheck")
-    per_function = run_paths([root])
+    unfiltered = per_function(root)
     findings, _names, _stats = run_interproc([root], use_cache=False)
     # Zero new false negatives: whole-program mode keeps every seeded
     # violation (messages may gain call-path suffixes).
-    assert keys_of(findings) == keys_of(per_function)
+    assert keys_of(findings) == keys_of(unfiltered)
     assert findings
 
 
